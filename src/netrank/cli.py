@@ -28,20 +28,15 @@ EXIT_MULTIPLICITY = 2
 def _load_network(args) -> graph_core.AdjacencyMatrix:
     if args.format == "dense":
         return graph_core.read_dense_csv(args.input)
-    follower_col, followed_col = args.edge_cols.split(",", 1)
-    edges = graph_core.read_edge_list_csv(
-        args.input, follower_col.strip(), followed_col.strip()
-    )
+    follower_col, _, followed_col = (c.strip() for c in args.edge_cols.partition(","))
+    if not (follower_col and followed_col):
+        raise ValueError(
+            "--edge-cols expects two comma-separated column names "
+            f"(FOLLOWER,FOLLOWED), got {args.edge_cols!r}"
+        )
+    edges = graph_core.read_edge_list_csv(args.input, follower_col, followed_col)
     roster = graph_core.read_roster_csv(args.roster) if args.roster else None
     return graph_core.load_edge_list(edges, roster)
-
-
-def _records(scores: ScoreVector, tie_tol: float):
-    ranks = rank_stats.rank_statistic(scores, tie_tol).ranks
-    return [
-        {"label": label, "score": float(s), "rank": float(r)}
-        for label, s, r in zip(scores.labels, scores.values, ranks)
-    ]
 
 
 def _emit(text: str, output: Optional[str]):
@@ -52,27 +47,19 @@ def _emit(text: str, output: Optional[str]):
         sys.stdout.write(text)
 
 
-def _format_records(records, out_format: str) -> str:
+def _format_scores(scores: ScoreVector, ranks, out_format: str) -> str:
+    rows = zip(scores.labels, scores.values, ranks)
     if out_format == "json":
-        return (
-            json.dumps(
-                [
-                    {
-                        "label": r["label"],
-                        "score": float(f"{r['score']:.10g}"),
-                        "rank": r["rank"],
-                    }
-                    for r in records
-                ],
-                indent=2,
-            )
-            + "\n"
-        )
+        records = [
+            {"label": label, "score": float(f"{s:.10g}"), "rank": float(r)}
+            for label, s, r in rows
+        ]
+        return json.dumps(records, indent=2) + "\n"
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["label", "score", "rank"])
-    for r in records:
-        writer.writerow([r["label"], f"{r['score']:.10g}", f"{r['rank']:g}"])
+    for label, s, r in rows:
+        writer.writerow([label, f"{s:.10g}", f"{r:g}"])
     return out.getvalue()
 
 
@@ -86,7 +73,8 @@ def _run_ranking(args, solve) -> int:
             "the parameter sits in an unstable regime",
             file=sys.stderr,
         )
-    _emit(_format_records(_records(scores, args.tie_tol), args.out), args.output)
+    ranks = rank_stats.rank_statistic(scores, args.tie_tol).ranks
+    _emit(_format_scores(scores, ranks, args.out), args.output)
     return EXIT_OK
 
 

@@ -5,6 +5,11 @@ matrix as the null space of (M - I) by Gaussian elimination with a pivot
 threshold; because eigenvalue 1 of a stochastic matrix is semisimple, the
 null-space dimension equals the eigenvalue's multiplicity.  The power method
 iterates x_k = M x_{k-1} to the same fixed point on regular chains.
+
+markovrank is not solved on the (n+1)-state augmented chain: eliminating its
+hub state (stochastic complementation, Meyer, SIAM Review 31(2), 1989) shows
+markovrank(A, epsilon) = pagerank(A, 2S / (2S + epsilon)), S the total weight
+of the patched adjacency.
 """
 
 from __future__ import annotations
@@ -15,13 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .graph_core import AdjacencyMatrix, _frozen, default_labels, patch_zero_rows
-from .chain_builder import (
-    TransitionMatrix,
-    augment_adjacency,
-    damped_transition,
-    transition_from_augmented,
-    transition_from_patched,
-)
+from .chain_builder import TransitionMatrix, damped_transition, transition_from_patched
 
 # Scores at or below this (including any negative score) mark a result as
 # numerically degenerate: the chain was solved at an unstable parameter.
@@ -181,19 +180,12 @@ def stationary_power(
     raise NonConvergenceError(x, cfg.max_iterations, cfg.tolerance)
 
 
-def _normalize_scores(
-    vector: np.ndarray, labels: tuple[str, ...], iterations: Optional[int] = None
-) -> ScoreVector:
+def _normalize_scores(vector: np.ndarray, labels: tuple[str, ...]) -> ScoreVector:
     s = vector.sum()
     if abs(s) <= 1e-12 * max(np.abs(vector).max(), 1e-300):
         raise DegenerateVectorError("degenerate eigenvector: entry sum is zero")
     scores = vector / s
-    return ScoreVector(
-        scores,
-        labels,
-        degenerate=bool((scores <= DEGENERATE_SCORE).any()),
-        iterations=iterations,
-    )
+    return ScoreVector(scores, labels, degenerate=bool((scores <= DEGENERATE_SCORE).any()))
 
 
 def _power_cfg(cfg: Optional[PowerIterConfig]) -> PowerIterConfig:
@@ -232,6 +224,18 @@ def pagerank(
     raise ValueError(f"method must be 'exact' or 'power', got {method!r}")
 
 
+def _hub_alpha(adj: AdjacencyMatrix, epsilon: float) -> float:
+    """alpha = 2S / (2S + epsilon), S the total weight of the patched adjacency.
+
+    Each zero row patches to n ones, so S comes from the out-degrees alone.
+    """
+    if not 0 <= epsilon <= 1:
+        raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
+    out = adj.entries.sum(axis=1)
+    total = out.sum() + adj.n * np.count_nonzero(out == 0)
+    return 2 * total / (2 * total + epsilon)
+
+
 def markovrank(
     adj: AdjacencyMatrix,
     epsilon: float,
@@ -240,26 +244,12 @@ def markovrank(
 ) -> ScoreVector:
     """Augmented-chain ranking of a directed network.
 
-    The patched adjacency is extended with a hub node weighted by epsilon,
-    the fixed-point vector of the (n+1)-state chain is computed, the hub
-    entry is dropped and the remaining n entries are renormalized.
+    The paper extends the patched adjacency with a hub node weighted by
+    epsilon and drops the hub entry of the (n+1)-state fixed point; by hub
+    elimination that vector is pagerank(adj, 2S / (2S + epsilon)), which is
+    solved instead, so power `iterations` count n-state damped iterations.
 
     Methods and errors as for pagerank; MultiplicityError is possible only
-    at epsilon = 0 or within the pivot tolerance of it.
+    at epsilon = 0 (alpha = 1) or within the pivot tolerance of it.
     """
-    if not 0 <= epsilon <= 1:
-        raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
-    chain = transition_from_augmented(
-        augment_adjacency(patch_zero_rows(adj), epsilon)
-    )
-    if method == "exact":
-        space = eigenvalue_one_space(chain)
-        if space.multiplicity != 1:
-            raise MultiplicityError(space.multiplicity)
-        return _normalize_scores(space.vector[: adj.n], adj.labels)
-    if method == "power":
-        full = stationary_power(chain, _power_cfg(cfg))
-        return _normalize_scores(
-            full.values[: adj.n], adj.labels, iterations=full.iterations
-        )
-    raise ValueError(f"method must be 'exact' or 'power', got {method!r}")
+    return pagerank(adj, _hub_alpha(adj, epsilon), method, cfg)

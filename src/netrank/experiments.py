@@ -21,7 +21,7 @@ import numpy as np
 
 from .graph_core import AdjacencyMatrix
 from . import rank_stats
-from .eigenrank import DegenerateVectorError, MultiplicityError, markovrank, pagerank
+from .eigenrank import DegenerateVectorError, MultiplicityError, _hub_alpha, pagerank
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -194,11 +194,12 @@ class SweepReport:
 
 def _sweep_family(family, solve, grid, baseline_param, tie_tol):
     baseline = solve(baseline_param)
+    if isinstance(baseline, Exception):
+        raise baseline
     records = []
     for param in grid:
-        try:
-            point = solve(param)
-        except (MultiplicityError, DegenerateVectorError):
+        point = solve(param)
+        if isinstance(point, Exception):
             records.append(
                 SweepRecord(family, float(param), baseline_param, True, False)
             )
@@ -229,13 +230,22 @@ def invariance_sweep(
 
     Each grid point is compared against the family baseline (alpha = 0.85,
     epsilon = 1).  Grid-point failures (no unique fixed point, degenerate
-    eigenvector) are recorded in the report rather than raised.
+    eigenvector) are recorded in the report rather than raised.  Both
+    families are one damped family: epsilon maps to alpha = 2S / (2S + eps)
+    (see markovrank), and each distinct alpha is solved once.
     """
-    records = []
+    solved = {}  # alpha -> ScoreVector, or the error its solve raised
+
+    def solve(alpha):
+        if alpha not in solved:
+            try:
+                solved[alpha] = pagerank(adj, alpha)
+            except (MultiplicityError, DegenerateVectorError) as exc:
+                solved[alpha] = exc
+        return solved[alpha]
+
+    records = _sweep_family("pagerank", solve, alphas, BASELINE_ALPHA, tie_tol)
     records += _sweep_family(
-        "pagerank", lambda a: pagerank(adj, a), alphas, BASELINE_ALPHA, tie_tol
-    )
-    records += _sweep_family(
-        "markovrank", lambda e: markovrank(adj, e), epsilons, BASELINE_EPSILON, tie_tol
+        "markovrank", lambda e: solve(_hub_alpha(adj, e)), epsilons, BASELINE_EPSILON, tie_tol
     )
     return SweepReport(adj.n, tuple(alphas), tuple(epsilons), tuple(records))

@@ -1,6 +1,9 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -79,6 +82,16 @@ class TestPagerankCommand:
         assert capsys.readouterr().out == ""
         labels, _ = parse_scores(out.read_text())
         assert labels == ["1", "2", "3", "4"]
+
+    def test_exact_output_bytes(self, tmp_path, capsys):
+        path = write_dense(tmp_path / "k2.csv", golden.K2)
+        assert main(["pagerank", path, "--alpha", "0.5"]) == 0
+        assert capsys.readouterr().out == "label,score,rank\n1,0.5,1.5\n2,0.5,1.5\n"
+        assert main(["pagerank", path, "--alpha", "0.5", "--out", "json"]) == 0
+        assert capsys.readouterr().out == (
+            '[\n  {\n    "label": "1",\n    "score": 0.5,\n    "rank": 1.5\n  },\n'
+            '  {\n    "label": "2",\n    "score": 0.5,\n    "rank": 1.5\n  }\n]\n'
+        )
 
     def test_deterministic_output(self, six_node_file, capsys):
         main(["pagerank", six_node_file])
@@ -279,3 +292,40 @@ class TestEdgeListInputs:
         labels, scores = parse_scores(capsys.readouterr().out)
         assert labels == ["a", "b"]
         np.testing.assert_allclose(scores, [0.5, 0.5], atol=1e-9)
+
+    @pytest.mark.parametrize("cols", ["following", "src,", " ,dst"])
+    def test_edge_cols_needs_two_names(self, tmp_path, capsys, cols):
+        edges = tmp_path / "edges.csv"
+        edges.write_text("following,followed\na,b\nb,a\n")
+        assert main([
+            "pagerank", str(edges), "--format", "edgelist", "--edge-cols", cols,
+        ]) == 1
+        err = capsys.readouterr().err
+        assert "--edge-cols expects two comma-separated column names" in err
+        assert "unpack" not in err
+
+
+class TestModuleEntryPoint:
+    def run_module(self, *argv):
+        import netrank
+
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(netrank.__file__)))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        return subprocess.run(
+            [sys.executable, "-m", "netrank", *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+
+    def test_ranks_a_golden_network(self, four_node_file):
+        result = self.run_module("markovrank", four_node_file, "--epsilon", "0")
+        assert result.returncode == 0, result.stderr
+        labels, scores = parse_scores(result.stdout)
+        assert labels == ["1", "2", "3", "4"]
+        np.testing.assert_allclose(scores, golden.FOUR_NODE_MARKOVRANK[0.0], atol=1e-6)
+
+    def test_multiplicity_exits_two(self, tmp_path):
+        path = write_dense(tmp_path / "c.csv", golden.EX_C)
+        result = self.run_module("markovrank", path, "--epsilon", "0")
+        assert result.returncode == 2
+        assert "multiplicity of the eigenvalue 1 is not one" in result.stderr

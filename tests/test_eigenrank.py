@@ -11,16 +11,32 @@ from netrank import (
     PowerIterConfig,
     SplitMix64,
     TransitionMatrix,
+    augment_adjacency,
     damped_transition,
     eigenvalue_one_space,
     markovrank,
     pagerank,
     patch_zero_rows,
     stationary_power,
+    transition_from_augmented,
     transition_from_patched,
 )
+from netrank.eigenrank import _normalize_scores
 
 import golden
+
+
+def augmented_chain_ranking(adj, eps):
+    """markovrank by its definition, as an oracle for the hub-eliminated solve.
+
+    Fixed point of the (n+1)-state chain of the patched network plus a hub
+    of weight eps, hub entry dropped and the rest renormalized.
+    """
+    chain = transition_from_augmented(augment_adjacency(patch_zero_rows(adj), eps))
+    space = eigenvalue_one_space(chain)
+    if space.multiplicity != 1:
+        raise MultiplicityError(space.multiplicity)
+    return _normalize_scores(space.vector[: adj.n], adj.labels)
 
 
 class TestEigenvalueOneSpace:
@@ -266,14 +282,36 @@ def test_augmented_ranking_is_damped_ranking_at_matched_parameter(seed):
     adj = AdjacencyMatrix.from_entries(entries)
     S = patch_zero_rows(adj).entries.sum()
     alpha = 2 * S / (2 * S + eps)
-    augmented = markovrank(adj, eps).values
+    augmented = augmented_chain_ranking(adj, eps).values
     damped = pagerank(adj, alpha).values
     assert np.abs(augmented - damped).max() <= 1e-10
 
 
-def test_degenerate_zero_sum_vector_raises():
-    from netrank.eigenrank import _normalize_scores
+PARITY_GOLDEN = ["FOUR_NODE", "EX1", "EX_A", "EX_B", "EX_C", "EX_D", "K2"]
+PARITY_EPSILONS = [0.0, 1e-15, 1e-12, 1e-4, 1e-3, 0.1, 0.5, 1.0]
 
+
+@pytest.mark.parametrize("eps", PARITY_EPSILONS)
+@pytest.mark.parametrize("name", PARITY_GOLDEN)
+def test_markovrank_matches_augmented_chain(name, eps):
+    """Hub elimination keeps the errors, flags and scores of the (n+1)-state solve.
+
+    The epsilon grid spans both edges of the pivot-tolerance band, where the
+    two solves could disagree on MultiplicityError or on degeneracy.
+    """
+    adj = getattr(golden, name)
+    try:
+        expected = augmented_chain_ranking(adj, eps)
+    except MultiplicityError:
+        with pytest.raises(MultiplicityError):
+            markovrank(adj, eps)
+        return
+    got = markovrank(adj, eps)
+    assert got.degenerate == expected.degenerate
+    assert np.abs(got.values - expected.values).max() <= 1e-10
+
+
+def test_degenerate_zero_sum_vector_raises():
     with pytest.raises(DegenerateVectorError, match="degenerate eigenvector"):
         _normalize_scores(np.array([1.0, -1.0]), ("a", "b"))
 

@@ -220,6 +220,22 @@ class TestInvarianceSweep:
         report = invariance_sweep(golden.FOUR_NODE, alphas=(0.5, 0.85), epsilons=(0.1,))
         assert len(report.records) == 3
 
+    @pytest.mark.parametrize("name", ["EX_C", "EX_D"])
+    def test_each_distinct_alpha_solved_once(self, monkeypatch, name):
+        # the default grids map onto 8 distinct alphas: 0.85, epsilon = 1 and
+        # alpha = 1 (epsilon = 0) repeat; EX_C's failed alpha = 1 is not retried
+        from netrank import experiments
+
+        alphas = []
+
+        def counting_pagerank(adj, alpha, *args, **kwargs):
+            alphas.append(alpha)
+            return pagerank(adj, alpha, *args, **kwargs)
+
+        monkeypatch.setattr(experiments, "pagerank", counting_pagerank)
+        invariance_sweep(getattr(golden, name))
+        assert len(alphas) == len(set(alphas)) == 8
+
 
 class TestSweepSerialization:
     def test_json_round_trip(self):
