@@ -12,7 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from .graph_core import AdjacencyMatrix, _frozen
+from .graph_core import AdjacencyMatrix, _adopt, _frozen
 
 COLUMN_SUM_TOL = 1e-12
 
@@ -70,7 +70,7 @@ def transition_from_patched(patched: AdjacencyMatrix) -> TransitionMatrix:
     if (rowsums == 0).any():
         bad = int(np.nonzero(rowsums == 0)[0][0])
         raise ValueError(f"row {bad} has zero sum; patch zero rows before building the chain")
-    return TransitionMatrix(patched.entries.T / rowsums, provenance="patched")
+    return TransitionMatrix(_adopt(patched.entries.T / rowsums), provenance="patched")
 
 
 def transition_generalized_inverse(adj: AdjacencyMatrix) -> TransitionMatrix:
@@ -93,7 +93,7 @@ def damped_transition(base: TransitionMatrix, alpha: float) -> TransitionMatrix:
     if not 0 < alpha <= 1:
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
     entries = alpha * base.entries + (1.0 - alpha) / base.m
-    return TransitionMatrix(entries, provenance=f"damped({alpha:g})")
+    return TransitionMatrix(_adopt(entries), provenance=f"damped({alpha:g})")
 
 
 def augment_adjacency(patched: AdjacencyMatrix, epsilon: float) -> AugmentedAdjacency:
@@ -139,19 +139,21 @@ def is_regular(matrix: TransitionMatrix, k_max: Optional[int] = None) -> Regular
     the zero/nonzero pattern only (regularity depends on nothing else), which
     avoids float underflow masking positivity at large exponents; a repeated
     pattern proves the chain can never become positive, so the search usually
-    stops long before the default Wielandt bound m^2 - 2m + 2.
+    stops long before the default Wielandt bound m^2 - 2m + 2.  Pattern
+    products run as float32 matrix products of 0/1 matrices: an entry is a
+    sum of ones, positive exactly when the boolean product is true.
     """
     if k_max is None:
         k_max = wielandt_bound(matrix.m)
-    step = (matrix.entries > 0).astype(np.int64)
-    pattern = step.copy()
+    step = (matrix.entries > 0).astype(np.float32)
+    pattern = step > 0
     seen = set()
     for k in range(1, k_max + 1):
         if pattern.all():
             return RegularityResult(True, k)
-        key = pattern.tobytes()
+        key = np.packbits(pattern).tobytes()
         if key in seen:
             return RegularityResult(False, None)
         seen.add(key)
-        pattern = (pattern @ step > 0).astype(np.int64)
+        pattern = (pattern.astype(np.float32) @ step) > 0
     return RegularityResult(False, None)

@@ -3,8 +3,12 @@
 The exact method finds the eigenvalue-1 eigenspace of a column-stochastic
 matrix as the null space of (M - I) by Gaussian elimination with a pivot
 threshold; because eigenvalue 1 of a stochastic matrix is semisimple, the
-null-space dimension equals the eigenvalue's multiplicity.  The power method
-iterates x_k = M x_{k-1} to the same fixed point on regular chains.
+null-space dimension equals the eigenvalue's multiplicity.  The elimination
+is blocked like LAPACK's getrf (column-by-column pivoting inside 32-column
+panels, one triangular solve and one matrix product per panel for the other
+columns), with the pivot rule of the plain column-by-column elimination.
+The power method iterates x_k = M x_{k-1} to the same fixed point on
+regular chains.
 
 markovrank is not solved on the (n+1)-state augmented chain: eliminating its
 hub state (stochastic complementation, Meyer, SIAM Review 31(2), 1989) shows
@@ -112,38 +116,77 @@ class PowerIterConfig:
             raise ValueError("max_iterations must be at least 1")
 
 
+# Columns per panel of the blocked elimination in eigenvalue_one_space: the
+# in-panel rank-1 updates grow with the width, the matrix products do not.
+_PANEL = 32
+
+
 def eigenvalue_one_space(matrix: TransitionMatrix, tol: float = 1e-5) -> EigenSpace:
     """Null space of (M - I) with pivots below tol*m treated as zero.
 
-    Gaussian elimination with partial pivoting; the threshold scales with the
-    dimension to mirror how close to 1 a second eigenvalue must be before the
-    ranking is reported as ill-defined.  When the nullity is 1 the basis
-    vector is returned unnormalized (arbitrary sign and scale).
+    Gaussian elimination with partial pivoting that skips (leaves free) a
+    column whose largest remaining entry is at most tol*m; the threshold
+    scales with the dimension to mirror how close to 1 a second eigenvalue
+    must be before the ranking is reported as ill-defined.  When the nullity
+    is 1 the basis vector is returned unnormalized (arbitrary sign and scale).
+
+    The elimination is blocked, as in LAPACK's getrf.  Each panel of 32
+    columns is eliminated column by column: pivot search, full-row swap and
+    a rank-1 update of the panel's columns only.  The panel's pivots then
+    reach every other non-pivot column (the columns right of the panel and
+    the free columns left of it) by one triangular solve and one matrix
+    product.  Each pivot is still chosen from fully updated values, so the
+    pivot rule, and with it the nullity and every MultiplicityError, is that
+    of the unblocked column-by-column elimination.
     """
     m = matrix.m
     threshold = tol * m
-    U = matrix.entries - np.eye(m)
+    U = matrix.entries.copy()
+    np.fill_diagonal(U, U.diagonal() - 1.0)  # M - I without an m x m identity
+    L = np.empty((m, _PANEL))  # multipliers of the current panel, by pivot
     pivot_rows: list[tuple[int, int]] = []
+    free: list[int] = []
     r = 0
-    for c in range(m):
-        i = int(np.argmax(np.abs(U[r:, c]))) + r
-        if abs(U[i, c]) <= threshold:
-            continue
-        if i != r:
-            U[[r, i]] = U[[i, r]]
-        U[r + 1 :] -= (U[r + 1 :, c] / U[r, c])[:, None] * U[r]
-        pivot_rows.append((r, c))
-        r += 1
+    for c0 in range(0, m, _PANEL):
+        c1 = min(c0 + _PANEL, m)
+        r0, free_left = r, list(free)
+        for c in range(c0, c1):
+            i = int(np.argmax(np.abs(U[r:, c]))) + r
+            if abs(U[i, c]) <= threshold:
+                free.append(c)
+                continue
+            if i != r:
+                U[[r, i]] = U[[i, r]]
+                L[[r, i], : r - r0] = L[[i, r], : r - r0]
+            L[r + 1 :, r - r0] = U[r + 1 :, c] / U[r, c]
+            # from c0, not c: free columns of this panel keep their updates
+            U[r + 1 :, c0:c1] -= L[r + 1 :, r - r0, None] * U[r, c0:c1]
+            pivot_rows.append((r, c))
+            r += 1
+        if r > r0:
+            if free_left:
+                _apply_panel(U, L, r0, r, free_left)
+            _apply_panel(U, L, r0, r, slice(c1, m))
     nullity = m - r
     if nullity != 1:
         return EigenSpace(nullity, None, threshold)
-    pivot_cols = {c for _, c in pivot_rows}
-    free = next(c for c in range(m) if c not in pivot_cols)
     x = np.zeros(m)
-    x[free] = 1.0
+    x[free[0]] = 1.0
     for row, c in reversed(pivot_rows):
         x[c] = -(U[row] @ x) / U[row, c]
     return EigenSpace(1, x, threshold)
+
+
+def _apply_panel(U: np.ndarray, L: np.ndarray, r0: int, r: int, cols) -> None:
+    """Eliminate, in columns `cols` of U, with the pivots of rows r0..r-1.
+
+    L[:, :r - r0] holds their multipliers: the pivot rows take a forward
+    solve with the unit lower triangle, the rows below one matrix product.
+    """
+    k = r - r0
+    top = np.linalg.solve(np.tril(L[r0:r, :k], -1) + np.eye(k), U[r0:r, cols])
+    U[r0:r, cols] = top
+    U[r:, cols] -= L[r:, :k] @ top
 
 
 def stationary_power(
@@ -214,13 +257,27 @@ def pagerank(
     if not 0 < alpha <= 1:
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
     chain = damped_transition(transition_from_patched(patch_zero_rows(adj)), alpha)
+    return _solve_ranking(chain, adj.labels, method, cfg)
+
+
+def _solve_ranking(
+    chain: TransitionMatrix,
+    labels: tuple[str, ...],
+    method: str = "exact",
+    cfg: Optional[PowerIterConfig] = None,
+) -> ScoreVector:
+    """Normalized fixed point of a damped chain, by the method pagerank names.
+
+    Takes the damped chain alone, so that the undamped one can be freed (or,
+    in a sweep, shared) while the solve runs.
+    """
     if method == "exact":
         space = eigenvalue_one_space(chain)
         if space.multiplicity != 1:
             raise MultiplicityError(space.multiplicity)
-        return _normalize_scores(space.vector, adj.labels)
+        return _normalize_scores(space.vector, labels)
     if method == "power":
-        return stationary_power(chain, _power_cfg(cfg), labels=adj.labels)
+        return stationary_power(chain, _power_cfg(cfg), labels=labels)
     raise ValueError(f"method must be 'exact' or 'power', got {method!r}")
 
 

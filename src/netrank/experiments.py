@@ -19,9 +19,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .graph_core import AdjacencyMatrix
+from .graph_core import AdjacencyMatrix, patch_zero_rows
 from . import rank_stats
-from .eigenrank import DegenerateVectorError, MultiplicityError, _hub_alpha, pagerank
+from .chain_builder import damped_transition, transition_from_patched
+from .eigenrank import DegenerateVectorError, MultiplicityError, _hub_alpha, _solve_ranking
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -232,14 +233,16 @@ def invariance_sweep(
     epsilon = 1).  Grid-point failures (no unique fixed point, degenerate
     eigenvector) are recorded in the report rather than raised.  Both
     families are one damped family: epsilon maps to alpha = 2S / (2S + eps)
-    (see markovrank), and each distinct alpha is solved once.
+    (see markovrank).  The chain is patched and built once, and each distinct
+    alpha is damped and solved once.
     """
+    chain = transition_from_patched(patch_zero_rows(adj))
     solved = {}  # alpha -> ScoreVector, or the error its solve raised
 
     def solve(alpha):
         if alpha not in solved:
             try:
-                solved[alpha] = pagerank(adj, alpha)
+                solved[alpha] = _solve_ranking(damped_transition(chain, alpha), adj.labels)
             except (MultiplicityError, DegenerateVectorError) as exc:
                 solved[alpha] = exc
         return solved[alpha]

@@ -11,7 +11,21 @@ import numpy as np
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
+    """Read-only float64 copy of `a`, or `a` itself if it is one (see _adopt)."""
+    if (isinstance(a, np.ndarray) and a.dtype == np.float64
+            and a.flags.owndata and not a.flags.writeable):
+        return a
     a = np.array(a, dtype=float)
+    a.setflags(write=False)
+    return a
+
+
+def _adopt(a: np.ndarray) -> np.ndarray:
+    """Hand a freshly computed array to a constructor without a second copy.
+
+    Builders of n x n matrices use this: the copy _frozen would otherwise
+    make doubles their transient memory (16 MiB for an 8 MiB chain).
+    """
     a.setflags(write=False)
     return a
 
@@ -182,7 +196,7 @@ def patch_zero_rows(adj: AdjacencyMatrix) -> AdjacencyMatrix:
     """
     entries = adj.entries.copy()
     entries[entries.sum(axis=1) == 0] = 1.0
-    return AdjacencyMatrix(entries, adj.labels)
+    return AdjacencyMatrix(_adopt(entries), adj.labels)
 
 
 def read_dense_csv(path) -> AdjacencyMatrix:

@@ -5,10 +5,13 @@ from hypothesis import strategies as st
 
 from netrank import (
     AdjacencyMatrix,
+    BlockSpec,
     SplitMix64,
     TransitionMatrix,
     augment_adjacency,
     damped_transition,
+    gen_block,
+    gen_er,
     is_regular,
     patch_zero_rows,
     transition_from_augmented,
@@ -170,6 +173,24 @@ class TestTransitionFromAugmented:
         assert M.provenance == "augmented(0.5)"
 
 
+def int_pattern_regular(matrix, k_max=None):
+    """is_regular with int64 pattern powers and raw-bytes keys, as an oracle."""
+    if k_max is None:
+        k_max = wielandt_bound(matrix.m)
+    step = (matrix.entries > 0).astype(np.int64)
+    pattern = step.copy()
+    seen = set()
+    for k in range(1, k_max + 1):
+        if pattern.all():
+            return True, k
+        key = pattern.tobytes()
+        if key in seen:
+            return False, None
+        seen.add(key)
+        pattern = (pattern @ step > 0).astype(np.int64)
+    return False, None
+
+
 class TestIsRegular:
     def test_four_node_witness_five(self):
         result = is_regular(transition_from_patched(golden.FOUR_NODE))
@@ -223,3 +244,32 @@ def test_stochasticity_preserved_by_constructions(seed):
     ):
         np.testing.assert_allclose(M.entries.sum(axis=0), 1.0, atol=1e-12)
         assert (M.entries >= 0).all()
+
+
+def regularity_chain(family, seed):
+    n = 20 + seed % 25
+    h = n // 2
+    if family == "er":
+        adj = gen_er(n, 0.1, seed)
+    elif family == "block":
+        grid = (((h, h, 0.3), (h, n - h, 0.02)), ((n - h, h, 0.02), (n - h, n - h, 0.3)))
+        adj = gen_block(BlockSpec(grid, seed=seed))
+    else:  # bipartite: period 2, never regular
+        grid = (((h, h, 0.0), (h, n - h, 0.3)), ((n - h, h, 0.3), (n - h, n - h, 0.0)))
+        adj = gen_block(BlockSpec(grid, seed=seed))
+    return transition_from_patched(patch_zero_rows(adj))
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("family", ["er", "block", "bipartite"])
+def test_is_regular_matches_integer_pattern_powers(family, seed):
+    M = regularity_chain(family, seed)
+    expected = int_pattern_regular(M)
+    result = is_regular(M)
+    assert (result.regular, result.witness_k) == expected
+    if expected[0]:
+        # a cutoff below the witness ends the search undecided: not regular
+        k = expected[1] - 1
+        result = is_regular(M, k_max=k)
+        assert (result.regular, result.witness_k) == int_pattern_regular(M, k_max=k)
+        assert not result.regular

@@ -306,14 +306,14 @@ class TestEdgeListInputs:
 
 
 class TestModuleEntryPoint:
-    def run_module(self, *argv):
+    def run_module(self, *argv, module="netrank"):
         import netrank
 
         env = dict(os.environ)
         src = os.path.dirname(os.path.dirname(os.path.abspath(netrank.__file__)))
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         return subprocess.run(
-            [sys.executable, "-m", "netrank", *argv],
+            [sys.executable, "-m", module, *argv],
             capture_output=True, text=True, env=env, timeout=120,
         )
 
@@ -329,3 +329,8 @@ class TestModuleEntryPoint:
         result = self.run_module("markovrank", path, "--epsilon", "0")
         assert result.returncode == 2
         assert "multiplicity of the eigenvalue 1 is not one" in result.stderr
+
+    def test_cli_module_runs_the_cli(self, tmp_path):
+        result = self.run_module("pagerank", str(tmp_path / "missing.csv"), module="netrank.cli")
+        assert result.returncode == 1
+        assert result.stderr.startswith("error:")

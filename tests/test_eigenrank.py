@@ -21,7 +21,7 @@ from netrank import (
     transition_from_augmented,
     transition_from_patched,
 )
-from netrank.eigenrank import _normalize_scores
+from netrank.eigenrank import EigenSpace, _normalize_scores
 
 import golden
 
@@ -37,6 +37,39 @@ def augmented_chain_ranking(adj, eps):
     if space.multiplicity != 1:
         raise MultiplicityError(space.multiplicity)
     return _normalize_scores(space.vector[: adj.n], adj.labels)
+
+
+def unblocked_null_space(matrix, tol=1e-5):
+    """The column-by-column threshold elimination, as an oracle for the blocked one.
+
+    Same pivot rule as eigenvalue_one_space (partial pivoting, a column
+    skipped when its best pivot is at most tol*m), with each pivot's rank-1
+    update applied to whole rows at once.
+    """
+    m = matrix.m
+    threshold = tol * m
+    U = matrix.entries - np.eye(m)
+    pivot_rows = []
+    r = 0
+    for c in range(m):
+        i = int(np.argmax(np.abs(U[r:, c]))) + r
+        if abs(U[i, c]) <= threshold:
+            continue
+        if i != r:
+            U[[r, i]] = U[[i, r]]
+        U[r + 1 :] -= (U[r + 1 :, c] / U[r, c])[:, None] * U[r]
+        pivot_rows.append((r, c))
+        r += 1
+    nullity = m - r
+    if nullity != 1:
+        return EigenSpace(nullity, None, threshold)
+    pivot_cols = {c for _, c in pivot_rows}
+    free = next(c for c in range(m) if c not in pivot_cols)
+    x = np.zeros(m)
+    x[free] = 1.0
+    for row, c in reversed(pivot_rows):
+        x[c] = -(U[row] @ x) / U[row, c]
+    return EigenSpace(1, x, threshold)
 
 
 class TestEigenvalueOneSpace:
@@ -320,3 +353,84 @@ def test_power_method_default_tolerance_is_tight():
     scores = pagerank(golden.FOUR_NODE, 0.85, method="power")
     assert np.abs(scores.values - golden.FOUR_NODE_PAGERANK[0.85]).max() <= 1e-7
     assert scores.iterations is not None
+
+
+def _column_stochastic(entries):
+    entries[:, entries.sum(axis=0) == 0] = 1.0
+    return entries / entries.sum(axis=0)
+
+
+def _closed_class(rng, size):
+    # sparse random edges plus a cycle through every state: irreducible
+    entries = (rng.random((size, size)) < min(1.0, 5 / size)).astype(float)
+    entries[(np.arange(size) + 1) % size, np.arange(size)] = 1.0
+    return entries
+
+
+def eliminator_chain(family, m, seed=0):
+    """Column-stochastic m x m chain of one structural family.
+
+    The first closed class has m // 3 states, so its last column is the one
+    the elimination skips: inside a panel, with pivots in later panels
+    still to come, for m >= 63.
+    """
+    rng = np.random.default_rng(seed)
+    a = max(1, m // 3)
+    entries = np.zeros((m, m))
+    if family == "irreducible":
+        entries = _closed_class(rng, m)
+    elif family == "two_classes":
+        entries[:a, :a] = _closed_class(rng, a)
+        entries[a:, a:] = _closed_class(rng, m - a) if m > a else 0.0
+    elif family in ("transient", "permuted_transient"):
+        entries[:a, :a] = _closed_class(rng, a)
+        entries[:, a:] = rng.random((m, m - a)) < min(1.0, 5 / m)
+        entries[0, a:] = 1.0  # every transient state leaks into the closed class
+        if family == "permuted_transient":
+            perm = rng.permutation(m)
+            entries = entries[np.ix_(perm, perm)]
+    elif family == "bipartite":
+        h = max(1, m // 2)
+        entries[:h, h:] = rng.random((h, m - h)) < min(1.0, 5 / m)
+        entries[h:, :h] = rng.random((m - h, h)) < min(1.0, 5 / m)
+        entries[h:, :h][:, entries[h:, :h].sum(axis=0) == 0] = 1.0
+        entries[:h, h:][:, entries[:h, h:].sum(axis=0) == 0] = 1.0
+    else:
+        raise ValueError(family)
+    return TransitionMatrix(_column_stochastic(entries))
+
+
+ELIMINATOR_SIZES = [1, 2, 3, 63, 64, 65, 127, 128, 129, 300]
+ELIMINATOR_FAMILIES = ["irreducible", "two_classes", "transient", "permuted_transient", "bipartite"]
+ELIMINATOR_ALPHAS = [1.0, 1 - 1e-9, 1 - 1e-6, 1 - 1e-4, 0.99, 0.85]
+ELIMINATOR_EPSILONS = [0.0, 1e-12, 1e-4, 1.0]
+
+
+def assert_same_null_space(chain, context):
+    got, expected = eigenvalue_one_space(chain), unblocked_null_space(chain)
+    assert got.multiplicity == expected.multiplicity, context
+    if expected.multiplicity == 1:
+        gap = np.abs(got.vector / got.vector.sum() - expected.vector / expected.vector.sum())
+        assert gap.max() <= 1e-12, (context, gap.max())
+
+
+@pytest.mark.parametrize("family", ELIMINATOR_FAMILIES)
+@pytest.mark.parametrize("m", ELIMINATOR_SIZES)
+def test_blocked_elimination_matches_unblocked(m, family):
+    """Same multiplicity and same normalized vector as the unblocked loop.
+
+    Near alpha = 1 the skipped columns fall inside the panels and before
+    them, where back-substitution reads their fully updated entries.
+    """
+    base = eliminator_chain(family, m, seed=m)
+    for alpha in ELIMINATOR_ALPHAS:
+        assert_same_null_space(damped_transition(base, alpha), alpha)
+
+
+@pytest.mark.parametrize("m", [m for m in ELIMINATOR_SIZES if m > 1])
+def test_blocked_elimination_matches_unblocked_on_augmented_chains(m):
+    base = eliminator_chain("two_classes", m - 1, seed=m)
+    adj = AdjacencyMatrix.from_entries(base.entries.T)
+    for eps in ELIMINATOR_EPSILONS:
+        chain = transition_from_augmented(augment_adjacency(patch_zero_rows(adj), eps))
+        assert_same_null_space(chain, eps)

@@ -227,14 +227,29 @@ class TestInvarianceSweep:
         from netrank import experiments
 
         alphas = []
+        damp = experiments.damped_transition
 
-        def counting_pagerank(adj, alpha, *args, **kwargs):
+        def counting_damp(chain, alpha):
             alphas.append(alpha)
-            return pagerank(adj, alpha, *args, **kwargs)
+            return damp(chain, alpha)
 
-        monkeypatch.setattr(experiments, "pagerank", counting_pagerank)
+        monkeypatch.setattr(experiments, "damped_transition", counting_damp)
         invariance_sweep(getattr(golden, name))
         assert len(alphas) == len(set(alphas)) == 8
+
+    def test_one_patch_and_build_per_sweep(self, monkeypatch):
+        from netrank import experiments
+
+        builds = []
+        build = experiments.transition_from_patched
+
+        def counting_build(patched):
+            builds.append(patched)
+            return build(patched)
+
+        monkeypatch.setattr(experiments, "transition_from_patched", counting_build)
+        invariance_sweep(golden.EX_B)
+        assert len(builds) == 1
 
 
 class TestSweepSerialization:

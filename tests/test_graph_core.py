@@ -39,6 +39,18 @@ class TestAdjacencyMatrix:
         with pytest.raises(ValueError):
             adj.entries[0, 0] = 5.0
 
+    def test_writable_input_is_copied(self):
+        source = np.array([[0.0, 1.0], [1.0, 0.0]])
+        adj = AdjacencyMatrix(source, ("a", "b"))
+        source[0, 0] = 5.0
+        assert adj.entries[0, 0] == 0.0
+
+    def test_read_only_input_is_adopted(self):
+        # builders hand over fresh n x n arrays this way, without a copy
+        source = np.array([[0.0, 1.0], [1.0, 0.0]])
+        source.setflags(write=False)
+        assert AdjacencyMatrix(source, ("a", "b")).entries is source
+
 
 class TestLoadEdgeList:
     def test_four_node_roster(self):
