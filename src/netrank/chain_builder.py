@@ -85,7 +85,7 @@ def transition_generalized_inverse(adj: AdjacencyMatrix) -> TransitionMatrix:
     recip = np.where(deg > 0, 1.0 / np.where(deg > 0, deg, 1.0), 0.0)
     entries = adj.entries.T * recip
     entries[:, deg == 0] = 1.0 / n
-    return TransitionMatrix(entries, provenance="patched")
+    return TransitionMatrix(_adopt(entries), provenance="patched")
 
 
 def damped_transition(base: TransitionMatrix, alpha: float) -> TransitionMatrix:
@@ -108,7 +108,7 @@ def augment_adjacency(patched: AdjacencyMatrix, epsilon: float) -> AugmentedAdja
     entries[:n, :n] = patched.entries
     entries[:n, n] = 0.5 * epsilon * rowsums / rowsums.sum()
     entries[n, :n] = 1.0
-    return AugmentedAdjacency(patched, float(epsilon), entries)
+    return AugmentedAdjacency(patched, float(epsilon), _adopt(entries))
 
 
 def transition_from_augmented(augmented: AugmentedAdjacency) -> TransitionMatrix:
@@ -117,7 +117,7 @@ def transition_from_augmented(augmented: AugmentedAdjacency) -> TransitionMatrix
     if (rowsums <= 0).any():
         raise ValueError("augmented matrix has a zero row sum")
     return TransitionMatrix(
-        augmented.entries.T / rowsums,
+        _adopt(augmented.entries.T / rowsums),
         provenance=f"augmented({augmented.epsilon:g})",
     )
 

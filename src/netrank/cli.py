@@ -85,8 +85,16 @@ def _read_score_csv(path) -> tuple[list[str], list[float]]:
             raise ValueError(f"{path}: score file needs 'label' and 'score' columns")
         labels, scores = [], []
         for row in reader:
+            where = f"{path}, line {reader.line_num}"
+            if row["label"] is None:
+                raise ValueError(f"{where}: row has no label")
+            try:
+                scores.append(float(row["score"]))
+            except (TypeError, ValueError):
+                raise ValueError(
+                    f"{where}: missing or non-numeric score {row['score']!r}"
+                ) from None
             labels.append(row["label"])
-            scores.append(float(row["score"]))
     if not labels:
         raise ValueError(f"{path}: score file has no rows")
     if len(set(labels)) != len(labels):

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -128,29 +127,19 @@ def load_edge_list(
     entries = np.zeros((len(labels), len(labels)))
     for a, b in edges:
         entries[index[a], index[b]] = 1.0
-    return AdjacencyMatrix(entries, labels)
+    return AdjacencyMatrix(_adopt(entries), labels)
 
 
-def _parse_number(token: str) -> float:
+def _is_number(token: str) -> bool:
     try:
-        return float(token)
-    except ValueError:
-        raise ValueError(f"non-numeric entry {token!r} in dense matrix") from None
-
-
-def _split_row(line: str) -> list[str]:
-    if "," in line:
-        return [t.strip() for t in next(csv.reader(io.StringIO(line)))]
-    return line.split()
-
-
-def _looks_numeric(tokens: list[str]) -> bool:
-    try:
-        for t in tokens:
-            float(t)
+        float(token)
     except ValueError:
         return False
     return True
+
+
+def _split_row(line: str) -> list[str]:
+    return next(csv.reader([line])) if "," in line else line.split()
 
 
 def load_dense_matrix(text: str, labels: Optional[Sequence[str]] = None) -> AdjacencyMatrix:
@@ -158,25 +147,29 @@ def load_dense_matrix(text: str, labels: Optional[Sequence[str]] = None) -> Adja
 
     A non-numeric first row is taken as a header and its tokens become the
     node labels unless explicit labels are given.  Default labels are "1".."n".
+    Numbers are whatever float() accepts; numpy converts the grid in one pass.
     """
     rows = [_split_row(line) for line in text.splitlines() if line.strip()]
     if not rows:
         raise ValueError("empty dense matrix input")
     header = None
-    if not _looks_numeric(rows[0]):
-        header = rows[0]
-        rows = rows[1:]
+    if not all(map(_is_number, rows[0])):
+        header = [t.strip() for t in rows.pop(0)]
         if not rows:
             raise ValueError("dense matrix input has a header but no data rows")
     widths = {len(r) for r in rows}
     if len(widths) != 1:
         raise ValueError(f"ragged dense matrix: row widths {sorted(widths)}")
-    entries = np.array([[_parse_number(t) for t in r] for r in rows])
+    try:
+        entries = np.array(rows, dtype=float)
+    except ValueError:
+        bad = next(t for r in rows for t in r if not _is_number(t))
+        raise ValueError(f"non-numeric entry {bad.strip()!r} in dense matrix") from None
     if entries.shape[0] != entries.shape[1]:
         raise ValueError(f"dense matrix must be square, got {entries.shape[0]}x{entries.shape[1]}")
     if labels is None:
         labels = header if header is not None else default_labels(entries.shape[0])
-    return AdjacencyMatrix(entries, tuple(labels))
+    return AdjacencyMatrix(_adopt(entries), tuple(labels))
 
 
 def degrees(adj: AdjacencyMatrix, kind: str) -> DegreeVector:
@@ -212,6 +205,7 @@ def read_edge_list_csv(
     """Read (follower, followed) pairs from a headered CSV.
 
     The header must contain both named columns; extra columns are ignored.
+    A row too short to reach either column is rejected with its line number.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
@@ -220,7 +214,15 @@ def read_edge_list_csv(
         missing = {follower_col, followed_col} - set(reader.fieldnames)
         if missing:
             raise ValueError(f"{path}: missing edge-list columns {sorted(missing)}")
-        return [(row[follower_col], row[followed_col]) for row in reader]
+        edges = []
+        for row in reader:
+            for col in (follower_col, followed_col):
+                if row[col] is None:
+                    raise ValueError(
+                        f"{path}, line {reader.line_num}: edge row has no {col!r} column"
+                    )
+            edges.append((row[follower_col], row[followed_col]))
+        return edges
 
 
 def read_roster_csv(path, label_col: str = "screen_name") -> list[str]:

@@ -42,30 +42,23 @@ class RankStatistic:
         )
 
 
-def _tie_groups(v: np.ndarray, tie_tol: float) -> tuple[np.ndarray, list[tuple[int, int]]]:
-    """Stable ascending order plus [start, stop) spans of tolerance-chained groups."""
+def _tie_groups(v: np.ndarray, tie_tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stable ascending order plus the start and stop positions of tolerance-chained groups."""
     order = np.argsort(v, kind="stable")
-    sv = v[order]
-    groups = []
-    i = 0
-    n = len(v)
-    while i < n:
-        j = i
-        while j + 1 < n and sv[j + 1] - sv[j] <= tie_tol:
-            j += 1
-        groups.append((i, j + 1))
-        i = j + 1
-    return order, groups
+    # a group starts wherever a gap is not within tie_tol, so a NaN tolerance ties nothing
+    cuts = np.ones(len(v) + 1, dtype=bool)
+    cuts[1:-1] = ~(np.diff(v[order]) <= tie_tol)
+    edges = np.flatnonzero(cuts)
+    return order, edges[:-1], edges[1:]
 
 
 def rank_statistic(scores, tie_tol: float = DEFAULT_TIE_TOL) -> RankStatistic:
     """Average-tie ascending ranks of a score vector."""
     v = _values(scores)
-    order, groups = _tie_groups(v, tie_tol)
+    order, starts, stops = _tie_groups(v, tie_tol)
     ranks = np.empty(len(v))
-    for start, stop in groups:
-        # positions are 1-based; tied entries share the mean position
-        ranks[order[start:stop]] = (start + stop + 1) / 2.0
+    # positions are 1-based; tied entries share the mean position
+    ranks[order] = np.repeat((starts + stops + 1) / 2.0, stops - starts)
     return RankStatistic(ranks, tie_tol)
 
 
@@ -81,17 +74,10 @@ def is_finer(x, y, tie_tol: float = DEFAULT_TIE_TOL) -> bool:
     vx, vy = _values(x), _values(y)
     if vx.shape != vy.shape:
         raise ValueError(f"length mismatch: {vx.shape[0]} vs {vy.shape[0]}")
-    ry = rank_statistic(vy, tie_tol).ranks
-    order, groups = _tie_groups(vx, tie_tol)
-    prev = -np.inf
-    for start, stop in groups:
-        group_ry = ry[order[start:stop]]
-        if (group_ry != group_ry[0]).any():
-            return False
-        if group_ry[0] < prev:
-            return False
-        prev = group_ry[0]
-    return True
+    order, starts, _ = _tie_groups(vx, tie_tol)
+    ry = rank_statistic(vy, tie_tol).ranks[order]
+    lo = np.minimum.reduceat(ry, starts)
+    return bool((lo == np.maximum.reduceat(ry, starts)).all() and (np.diff(lo) >= 0).all())
 
 
 def is_identical_rank(x, y, tie_tol: float = DEFAULT_TIE_TOL) -> bool:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from netrank import (
     gen_block,
     gen_er,
     is_regular,
+    load_edge_list,
     patch_zero_rows,
     transition_from_augmented,
     transition_from_patched,
@@ -273,3 +276,29 @@ def test_is_regular_matches_integer_pattern_powers(family, seed):
         result = is_regular(M, k_max=k)
         assert (result.regular, result.witness_k) == int_pattern_regular(M, k_max=k)
         assert not result.regular
+
+
+def _builders(n=400):
+    adj = gen_er(n, 0.05, 3)
+    patched = patch_zero_rows(adj)
+    augmented = augment_adjacency(patched, 0.5)
+    edges = [(str(i), str((i + d) % n)) for i in range(n) for d in (1, 7)]
+    return {
+        "load_edge_list": lambda: load_edge_list(edges),
+        "transition_generalized_inverse": lambda: transition_generalized_inverse(adj),
+        "augment_adjacency": lambda: augment_adjacency(patched, 0.5),
+        "transition_from_augmented": lambda: transition_from_augmented(augmented),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_builders(2)))
+def test_builders_keep_their_fresh_array(name):
+    # a builder that copies its freshly built n x n array peaks at twice its result
+    build = _builders()[name]
+    tracemalloc.start()
+    try:
+        result = build()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * result.entries.nbytes

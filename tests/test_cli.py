@@ -187,6 +187,24 @@ class TestCompareCommand:
             fh.write("label,score\nx,0.5\nz,0.5\n")
         assert main(["compare", str(tmp_path / "a.csv"), str(tmp_path / "b.csv")]) == 1
 
+    @pytest.mark.parametrize(
+        "row, shown", [("b", "None"), ("b,", "''"), ("b,high", "'high'")]
+    )
+    def test_bad_score_exits_one(self, tmp_path, capsys, row, shown):
+        good = tmp_path / "a.csv"
+        good.write_text("label,score\na,0.5\nb,0.5\n")
+        bad = tmp_path / "b.csv"
+        bad.write_text(f"label,score\na,0.5\n{row}\n")
+        assert main(["compare", str(good), str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {bad}, line 3: missing or non-numeric score {shown}\n"
+
+    def test_row_without_label_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "a.csv"
+        path.write_text("score,label\n0.5,a\n0.5\n")
+        assert main(["compare", str(path), str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {path}, line 3: row has no label\n"
+
 
 class TestGenCommand:
     def test_er_p_zero(self, tmp_path, capsys):
@@ -303,6 +321,14 @@ class TestEdgeListInputs:
         err = capsys.readouterr().err
         assert "--edge-cols expects two comma-separated column names" in err
         assert "unpack" not in err
+
+    def test_short_edge_row_exits_one(self, tmp_path, capsys):
+        edges = tmp_path / "edges.csv"
+        edges.write_text("following,followed\na,b\nc\n")
+        assert main(["pagerank", str(edges), "--format", "edgelist"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {edges}, line 3: edge row has no 'followed' column\n"
 
 
 class TestModuleEntryPoint:

@@ -107,12 +107,14 @@ class TestLoadDenseMatrix:
         np.testing.assert_array_equal(adj.entries, golden.EX_A.entries)
 
     def test_negative_entry_rejected(self):
-        with pytest.raises(ValueError, match="non-negative"):
+        with pytest.raises(ValueError) as info:
             load_dense_matrix("0,-1\n0,0")
+        assert str(info.value) == "adjacency entries must be non-negative"
 
     def test_non_square_rejected(self):
-        with pytest.raises(ValueError, match="square"):
+        with pytest.raises(ValueError) as info:
             load_dense_matrix("0,1,0\n1,0,1")
+        assert str(info.value) == "dense matrix must be square, got 2x3"
 
     def test_whitespace_grid(self):
         adj = load_dense_matrix("0 1\n1 0")
@@ -123,12 +125,90 @@ class TestLoadDenseMatrix:
         assert adj.labels == ("a", "b")
 
     def test_ragged_rows_rejected(self):
-        with pytest.raises(ValueError, match="ragged"):
+        with pytest.raises(ValueError) as info:
             load_dense_matrix("0,1\n1")
+        assert str(info.value) == "ragged dense matrix: row widths [1, 2]"
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
+        with pytest.raises(ValueError) as info:
             load_dense_matrix("  \n ")
+        assert str(info.value) == "empty dense matrix input"
+
+    @pytest.mark.parametrize(
+        "text, token",
+        [
+            ("0,1\nx,0", "x"),
+            ("0,1\n x ,0", "x"),
+            ("0,1,0\n0,,1\n1,0,0", ""),
+            ("0,1,0\n1,0,\n0,1,0", ""),
+            ("0 1\n1 y", "y"),
+            ("0,1\n0x10,0", "0x10"),
+        ],
+    )
+    def test_non_numeric_entry_message(self, text, token):
+        with pytest.raises(ValueError) as info:
+            load_dense_matrix(text)
+        assert str(info.value) == f"non-numeric entry {token!r} in dense matrix"
+
+    def test_first_bad_token_is_named(self):
+        with pytest.raises(ValueError, match="non-numeric entry 'p'"):
+            load_dense_matrix("0,1,0\n0,p,q\nr,0,0")
+
+    def test_header_without_data_rows(self):
+        with pytest.raises(ValueError) as info:
+            load_dense_matrix("a,b\n\n")
+        assert str(info.value) == "dense matrix input has a header but no data rows"
+
+    def test_quoted_numeric_fields(self):
+        adj = load_dense_matrix('"0","1"\n"1","0"')
+        np.testing.assert_array_equal(adj.entries, [[0, 1], [1, 0]])
+        assert adj.labels == ("1", "2")
+
+    def test_spaces_around_comma_tokens(self):
+        adj = load_dense_matrix("0, 1\n 1 ,0 ")
+        np.testing.assert_array_equal(adj.entries, [[0, 1], [1, 0]])
+
+    def test_mixed_comma_and_whitespace_rows(self):
+        adj = load_dense_matrix("0,1,0\n1 0 1\n0,1,0")
+        np.testing.assert_array_equal(adj.entries, [[0, 1, 0], [1, 0, 1], [0, 1, 0]])
+
+    def test_header_labels_are_stripped(self):
+        adj = load_dense_matrix("a, b\n0,1\n1,0")
+        assert adj.labels == ("a", "b")
+
+    def test_whitespace_header(self):
+        adj = load_dense_matrix("a b\n0 1\n1 0")
+        assert adj.labels == ("a", "b")
+
+    def test_number_forms(self):
+        adj = load_dense_matrix("1_0,.5\n1e1,+2")
+        np.testing.assert_array_equal(adj.entries, [[10, 0.5], [10, 2]])
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "1e400", "-inf"])
+    def test_non_finite_tokens_reach_finite_check(self, token):
+        with pytest.raises(ValueError) as info:
+            load_dense_matrix(f"0,{token}\n1,0")
+        assert str(info.value) == "adjacency entries must be finite"
+
+
+# Tokens whose float() verdict the bulk numpy conversion must share.
+PROBE_TOKENS = [
+    "0", "1", " 1 ", "1.5", "-2", "+3", "1e3", "1E-3", ".5", "5.", "1_000",
+    "١٢", "inf", "-inf", "Infinity", "nan", "NaN", "1e400", "",
+    "x", "0x10", "1d3", "1 2", "\t2\n", "1__0", "_1", " ",
+]
+
+
+@pytest.mark.parametrize("token", PROBE_TOKENS)
+def test_numpy_conversion_matches_float(token):
+    try:
+        expected = float(token)
+    except ValueError:
+        with pytest.raises(ValueError):
+            np.array([[token]], dtype=float)
+        return
+    got = np.array([[token]], dtype=float)[0, 0]
+    assert got == expected or (np.isnan(got) and np.isnan(expected))
 
 
 class TestDegrees:
@@ -215,6 +295,21 @@ class TestCsvReaders:
         f = tmp_path / "edges.csv"
         f.write_text("src,dst\na,b\n")
         assert read_edge_list_csv(f, "src", "dst") == [("a", "b")]
+
+    @pytest.mark.parametrize(
+        "text, line, col",
+        [
+            ("following,followed\na,b\nc\n", 3, "followed"),
+            ("following,followed\n\nc\n", 3, "followed"),
+            ("followed,x,following\nb,1\n", 2, "following"),
+        ],
+    )
+    def test_edge_list_short_row_rejected(self, tmp_path, text, line, col):
+        f = tmp_path / "edges.csv"
+        f.write_text(text)
+        with pytest.raises(ValueError) as info:
+            read_edge_list_csv(f)
+        assert str(info.value) == f"{f}, line {line}: edge row has no {col!r} column"
 
     def test_roster_missing_column(self, tmp_path):
         f = tmp_path / "roster.csv"

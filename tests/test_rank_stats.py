@@ -28,6 +28,117 @@ def pairwise_finer_oracle(x, y, tie_tol=1e-9):
     return True
 
 
+def loop_tie_groups(v, tie_tol):
+    """Element-by-element tie grouping, kept as the oracle for the vectorised one."""
+    order = np.argsort(v, kind="stable")
+    sv = v[order]
+    groups = []
+    i = 0
+    n = len(v)
+    while i < n:
+        j = i
+        while j + 1 < n and sv[j + 1] - sv[j] <= tie_tol:
+            j += 1
+        groups.append((i, j + 1))
+        i = j + 1
+    return order, groups
+
+
+def loop_rank_statistic(v, tie_tol):
+    order, groups = loop_tie_groups(v, tie_tol)
+    ranks = np.empty(len(v))
+    for start, stop in groups:
+        ranks[order[start:stop]] = (start + stop + 1) / 2.0
+    return ranks
+
+
+def loop_is_finer(x, y, tie_tol):
+    ry = loop_rank_statistic(y, tie_tol)
+    order, groups = loop_tie_groups(x, tie_tol)
+    prev = -np.inf
+    for start, stop in groups:
+        group_ry = ry[order[start:stop]]
+        if (group_ry != group_ry[0]).any():
+            return False
+        if group_ry[0] < prev:
+            return False
+        prev = group_ry[0]
+    return True
+
+
+def last_tied_value(prev, tol):
+    """Largest float b whose computed gap b - prev is still <= tol."""
+    b = prev + tol
+    while b - prev > tol:
+        b = np.nextafter(b, -np.inf)
+    while np.nextafter(b, np.inf) - prev <= tol:
+        b = np.nextafter(b, np.inf)
+    return b
+
+
+def planted_gap_vector(rng, n, tie_tol):
+    """Scores whose consecutive gaps sit at tie_tol, one ulp either side, or far off.
+
+    Tolerances that are not finite and non-negative plant their gaps at 1e-9.
+    """
+    step = tie_tol if np.isfinite(tie_tol) and tie_tol >= 0 else 1e-9
+    v = [rng.uniform(0.1, 1.0)] if n else []
+    for _ in range(n - 1):
+        prev = v[-1]
+        kind = rng.integers(0, 5)
+        if kind == 0:
+            v.append(prev)
+        elif kind == 4:
+            v.append(prev + rng.uniform(0.0, 10 * step))
+        else:
+            edge = last_tied_value(prev, step)
+            v.append([edge, np.nextafter(edge, -np.inf), np.nextafter(edge, np.inf)][kind - 1])
+    return np.array(v)[rng.permutation(n)]
+
+
+TIE_TOLS = [0.0, 1e-9, -1.0, np.inf, np.nan]
+
+
+@pytest.mark.parametrize("tie_tol", TIE_TOLS)
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 50, 1000])
+def test_vectorised_statistics_match_loop_oracle(n, tie_tol):
+    rng = np.random.default_rng(1000 * n + 7)
+    for _ in range(5 if n < 1000 else 2):
+        x = planted_gap_vector(rng, n, tie_tol)
+        y = planted_gap_vector(rng, n, tie_tol)
+        for v in (x, y):  # bit-identical ranks
+            expected = loop_rank_statistic(v, tie_tol)
+            assert rank_statistic(v, tie_tol).ranks.tobytes() == expected.tobytes()
+        for a, b in ((x, y), (y, x), (x, x), (x, np.round(x, 6))):
+            assert is_finer(a, b, tie_tol) == loop_is_finer(a, b, tie_tol)
+
+
+def test_planted_gaps_hit_the_boundary():
+    # the generator must put gaps right at the tolerance on both sides of it
+    v = np.sort(planted_gap_vector(np.random.default_rng(3), 1000, 1e-9))
+    gaps = np.diff(v)
+    one_ulp_wider = np.nextafter(v[1:], np.inf) - v[:-1]
+    assert ((gaps <= 1e-9) & (one_ulp_wider > 1e-9)).any()
+    assert ((gaps > 1e-9) & (gaps < 1e-9 * (1 + 1e-6))).any()
+
+
+def test_empty_vectors():
+    assert is_finer([], [])
+    assert rank_statistic(np.empty(0)).ranks.shape == (0,)
+
+
+@pytest.mark.parametrize("tie_tol, expected", [
+    (np.inf, [2.0, 2.0, 2.0]),
+    (np.nan, [2.0, 1.0, 3.0]),
+    (-1.0, [2.0, 1.0, 3.0]),
+])
+def test_extreme_tolerances(tie_tol, expected):
+    # inf puts everything in one group; nan and negative tolerances tie nothing
+    np.testing.assert_array_equal(
+        rank_statistic(np.array([0.5, 0.25, 0.7]), tie_tol).ranks, expected
+    )
+
+
 score_vectors = st.integers(2, 9).flatmap(
     lambda n: st.lists(
         st.sampled_from([0.1, 0.2, 0.2, 0.35, 0.5, 0.75, 1.0]), min_size=n, max_size=n
