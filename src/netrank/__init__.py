@@ -8,8 +8,6 @@ tie-aware rank statistics.
 
 from .graph_core import (
     AdjacencyMatrix,
-    DegreeVector,
-    degrees,
     load_dense_matrix,
     load_edge_list,
     patch_zero_rows,
@@ -63,7 +61,6 @@ __all__ = [
     "AugmentedAdjacency",
     "BlockSpec",
     "DegenerateVectorError",
-    "DegreeVector",
     "EigenSpace",
     "MultiplicityError",
     "NonConvergenceError",
@@ -78,7 +75,6 @@ __all__ = [
     "agreement_count",
     "augment_adjacency",
     "damped_transition",
-    "degrees",
     "eigenvalue_one_space",
     "gen_block",
     "gen_er",

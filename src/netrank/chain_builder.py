@@ -79,12 +79,12 @@ def transition_generalized_inverse(adj: AdjacencyMatrix) -> TransitionMatrix:
     With B = diag(out-degrees) and B- its entrywise reciprocal on nonzero
     entries, returns A^T B- + (1/n) * ones * (I - B B-): zero-out-degree
     nodes redistribute uniformly, all other columns are A^T B- as usual.
+    Columns are divided by their out-degree, not multiplied by its
+    reciprocal, so the result equals the patched route bit for bit.
     """
-    n = adj.n
     deg = adj.entries.sum(axis=1)
-    recip = np.where(deg > 0, 1.0 / np.where(deg > 0, deg, 1.0), 0.0)
-    entries = adj.entries.T * recip
-    entries[:, deg == 0] = 1.0 / n
+    entries = adj.entries.T / np.where(deg > 0, deg, 1.0)
+    entries[:, deg == 0] = 1.0 / adj.n
     return TransitionMatrix(_adopt(entries), provenance="patched")
 
 

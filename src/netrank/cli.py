@@ -9,6 +9,8 @@ import json
 import sys
 from typing import Optional
 
+import numpy as np
+
 from . import experiments, graph_core, rank_stats
 from .eigenrank import (
     MultiplicityError,
@@ -110,10 +112,12 @@ def cmd_compare(args) -> int:
     by_label = dict(zip(labels_b, scores_b))
     scores_b = [by_label[l] for l in labels_a]
     tol = args.tie_tol
+    a_finer_b = rank_stats.is_finer(scores_a, scores_b, tol)
+    b_finer_a = rank_stats.is_finer(scores_b, scores_a, tol)
     print(f"agreement_count: {rank_stats.agreement_count(scores_a, scores_b, tol)}")
-    print(f"identical: {str(rank_stats.is_identical_rank(scores_a, scores_b, tol)).lower()}")
-    print(f"a_finer_b: {str(rank_stats.is_finer(scores_a, scores_b, tol)).lower()}")
-    print(f"b_finer_a: {str(rank_stats.is_finer(scores_b, scores_a, tol)).lower()}")
+    print(f"identical: {str(a_finer_b and b_finer_a).lower()}")
+    print(f"a_finer_b: {str(a_finer_b).lower()}")
+    print(f"b_finer_a: {str(b_finer_a).lower()}")
     return EXIT_OK
 
 
@@ -145,9 +149,8 @@ def cmd_gen(args) -> int:
         adj = experiments.gen_block(
             parse_block_spec(args.blocks, args.zero_diagonal, args.seed)
         )
-    rows = "\n".join(",".join(f"{v:g}" for v in row) for row in adj.entries)
     with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(rows + "\n")
+        np.savetxt(fh, adj.entries, fmt="%g", delimiter=",")
     return EXIT_OK
 
 

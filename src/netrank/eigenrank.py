@@ -23,8 +23,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .graph_core import AdjacencyMatrix, _frozen, default_labels, patch_zero_rows
-from .chain_builder import TransitionMatrix, damped_transition, transition_from_patched
+from .graph_core import AdjacencyMatrix, _frozen, default_labels
+from .chain_builder import TransitionMatrix, damped_transition, transition_generalized_inverse
 
 # Scores at or below this (including any negative score) mark a result as
 # numerically degenerate: the chain was solved at an unstable parameter.
@@ -244,9 +244,10 @@ def pagerank(
 ) -> ScoreVector:
     """Damped ranking of a directed network.
 
-    Zero rows of the adjacency are patched to all-ones, the column-stochastic
-    chain is damped by alpha toward uniform, and the scores are the normalized
-    fixed-point vector of the damped chain.
+    The column-stochastic chain is built by the generalized inverse (zero
+    rows go uniform, as if patched to all-ones), damped by alpha toward
+    uniform, and the scores are the normalized fixed-point vector of the
+    damped chain.
 
     method="exact" solves the eigenvalue-1 problem directly and raises
     MultiplicityError when the eigenspace is not one-dimensional, which can
@@ -256,7 +257,7 @@ def pagerank(
     """
     if not 0 < alpha <= 1:
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-    chain = damped_transition(transition_from_patched(patch_zero_rows(adj)), alpha)
+    chain = damped_transition(transition_generalized_inverse(adj), alpha)
     return _solve_ranking(chain, adj.labels, method, cfg)
 
 

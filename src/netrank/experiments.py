@@ -14,14 +14,14 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .graph_core import AdjacencyMatrix, patch_zero_rows
+from .graph_core import AdjacencyMatrix
 from . import rank_stats
-from .chain_builder import damped_transition, transition_from_patched
+from .chain_builder import damped_transition, transition_generalized_inverse
 from .eigenrank import DegenerateVectorError, MultiplicityError, _hub_alpha, _solve_ranking
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
@@ -58,10 +58,7 @@ def gen_er(n: int, p: float, seed: int) -> AdjacencyMatrix:
         raise ValueError(f"n must be at least 1, got {n}")
     if not 0 <= p <= 1:
         raise ValueError(f"edge probability must be in [0, 1], got {p}")
-    u = SplitMix64(seed).uniforms(n * n)
-    entries = (u < p).astype(float).reshape(n, n)
-    np.fill_diagonal(entries, 0.0)
-    return AdjacencyMatrix.from_entries(entries)
+    return gen_block(BlockSpec((((n, n, p),),), seed=seed))
 
 
 @dataclass(frozen=True)
@@ -162,33 +159,13 @@ class SweepReport:
 
     def to_csv(self) -> str:
         out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(
-            [
-                "family",
-                "parameter",
-                "baseline",
-                "multiplicity_failure",
-                "degenerate_warning",
-                "agreement",
-                "identical",
-                "point_finer_baseline",
-                "baseline_finer_point",
-            ]
-        )
+        names = [f.name for f in fields(SweepRecord)]
+        writer = csv.DictWriter(out, names, lineterminator="\n")
+        writer.writeheader()
         for r in self.records:
+            # csv writes None as an empty field
             writer.writerow(
-                [
-                    r.family,
-                    f"{r.parameter:g}",
-                    f"{r.baseline:g}",
-                    r.multiplicity_failure,
-                    r.degenerate_warning,
-                    "" if r.agreement is None else r.agreement,
-                    "" if r.identical is None else r.identical,
-                    "" if r.point_finer_baseline is None else r.point_finer_baseline,
-                    "" if r.baseline_finer_point is None else r.baseline_finer_point,
-                ]
+                {**vars(r), "parameter": f"{r.parameter:g}", "baseline": f"{r.baseline:g}"}
             )
         return out.getvalue()
 
@@ -205,6 +182,8 @@ def _sweep_family(family, solve, grid, baseline_param, tie_tol):
                 SweepRecord(family, float(param), baseline_param, True, False)
             )
             continue
+        point_finer = rank_stats.is_finer(point, baseline, tie_tol)
+        baseline_finer = rank_stats.is_finer(baseline, point, tie_tol)
         records.append(
             SweepRecord(
                 family,
@@ -213,9 +192,9 @@ def _sweep_family(family, solve, grid, baseline_param, tie_tol):
                 False,
                 point.degenerate,
                 agreement=rank_stats.agreement_count(point, baseline, tie_tol),
-                identical=rank_stats.is_identical_rank(point, baseline, tie_tol),
-                point_finer_baseline=rank_stats.is_finer(point, baseline, tie_tol),
-                baseline_finer_point=rank_stats.is_finer(baseline, point, tie_tol),
+                identical=point_finer and baseline_finer,
+                point_finer_baseline=point_finer,
+                baseline_finer_point=baseline_finer,
             )
         )
     return records
@@ -233,10 +212,10 @@ def invariance_sweep(
     epsilon = 1).  Grid-point failures (no unique fixed point, degenerate
     eigenvector) are recorded in the report rather than raised.  Both
     families are one damped family: epsilon maps to alpha = 2S / (2S + eps)
-    (see markovrank).  The chain is patched and built once, and each distinct
-    alpha is damped and solved once.
+    (see markovrank).  The chain is built once, and each distinct alpha is
+    damped and solved once.
     """
-    chain = transition_from_patched(patch_zero_rows(adj))
+    chain = transition_generalized_inverse(adj)
     solved = {}  # alpha -> ScoreVector, or the error its solve raised
 
     def solve(alpha):

@@ -1,4 +1,4 @@
-"""Directed-network adjacency data: ingestion, validation, degrees, zero-row patching."""
+"""Directed-network adjacency data: ingestion, validation, zero-row patching."""
 
 from __future__ import annotations
 
@@ -72,19 +72,6 @@ class AdjacencyMatrix:
         if labels is None:
             labels = default_labels(e.shape[0] if e.ndim == 2 else 0)
         return cls(e, tuple(labels))
-
-
-@dataclass(frozen=True, eq=False)
-class DegreeVector:
-    """Row sums (kind="out") or column sums (kind="in") of an adjacency matrix."""
-
-    values: np.ndarray
-    kind: str
-
-    def __post_init__(self):
-        if self.kind not in ("out", "in"):
-            raise ValueError(f"degree kind must be 'out' or 'in', got {self.kind!r}")
-        object.__setattr__(self, "values", _frozen(self.values))
 
 
 def load_edge_list(
@@ -172,15 +159,6 @@ def load_dense_matrix(text: str, labels: Optional[Sequence[str]] = None) -> Adja
     return AdjacencyMatrix(_adopt(entries), tuple(labels))
 
 
-def degrees(adj: AdjacencyMatrix, kind: str) -> DegreeVector:
-    """Out-degrees (row sums) or in-degrees (column sums)."""
-    if kind == "out":
-        return DegreeVector(adj.entries.sum(axis=1), "out")
-    if kind == "in":
-        return DegreeVector(adj.entries.sum(axis=0), "in")
-    raise ValueError(f"degree kind must be 'out' or 'in', got {kind!r}")
-
-
 def patch_zero_rows(adj: AdjacencyMatrix) -> AdjacencyMatrix:
     """Replace every all-zero row by an all-ones row (diagonal included).
 
@@ -205,7 +183,8 @@ def read_edge_list_csv(
     """Read (follower, followed) pairs from a headered CSV.
 
     The header must contain both named columns; extra columns are ignored.
-    A row too short to reach either column is rejected with its line number.
+    A row too short to reach either column, or with either field empty, is
+    rejected with its line number.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
@@ -217,18 +196,31 @@ def read_edge_list_csv(
         edges = []
         for row in reader:
             for col in (follower_col, followed_col):
-                if row[col] is None:
-                    raise ValueError(
-                        f"{path}, line {reader.line_num}: edge row has no {col!r} column"
-                    )
+                _check_field(row[col], f"{path}, line {reader.line_num}: edge row", col)
             edges.append((row[follower_col], row[followed_col]))
         return edges
 
 
+def _check_field(value: Optional[str], where: str, col: str) -> None:
+    """Reject a DictReader field that the row is too short to reach, or that is empty."""
+    if value is None:
+        raise ValueError(f"{where} has no {col!r} column")
+    if not value:
+        raise ValueError(f"{where} has an empty {col!r} field")
+
+
 def read_roster_csv(path, label_col: str = "screen_name") -> list[str]:
-    """Read the node roster from a CSV with a `screen_name` column."""
+    """Read the node roster from a CSV with a `screen_name` column.
+
+    A row too short to reach that column, or with it empty, is rejected with
+    its line number.
+    """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or label_col not in reader.fieldnames:
             raise ValueError(f"{path}: roster file needs a {label_col!r} column")
-        return [row[label_col] for row in reader]
+        labels = []
+        for row in reader:
+            _check_field(row[label_col], f"{path}, line {reader.line_num}: roster row", label_col)
+            labels.append(row[label_col])
+        return labels

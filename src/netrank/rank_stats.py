@@ -62,6 +62,13 @@ def rank_statistic(scores, tie_tol: float = DEFAULT_TIE_TOL) -> RankStatistic:
     return RankStatistic(ranks, tie_tol)
 
 
+def _pair(x, y) -> tuple[np.ndarray, np.ndarray]:
+    vx, vy = _values(x), _values(y)
+    if vx.shape != vy.shape:
+        raise ValueError(f"length mismatch: {vx.shape[0]} vs {vy.shape[0]}")
+    return vx, vy
+
+
 def is_finer(x, y, tie_tol: float = DEFAULT_TIE_TOL) -> bool:
     """True when x's ordering refines y's.
 
@@ -71,9 +78,7 @@ def is_finer(x, y, tie_tol: float = DEFAULT_TIE_TOL) -> bool:
     within each x-tie-group all y-ranks must coincide, and the group y-ranks
     must be non-decreasing in x order.
     """
-    vx, vy = _values(x), _values(y)
-    if vx.shape != vy.shape:
-        raise ValueError(f"length mismatch: {vx.shape[0]} vs {vy.shape[0]}")
+    vx, vy = _pair(x, y)
     order, starts, _ = _tie_groups(vx, tie_tol)
     ry = rank_statistic(vy, tie_tol).ranks[order]
     lo = np.minimum.reduceat(ry, starts)
@@ -81,15 +86,16 @@ def is_finer(x, y, tie_tol: float = DEFAULT_TIE_TOL) -> bool:
 
 
 def is_identical_rank(x, y, tie_tol: float = DEFAULT_TIE_TOL) -> bool:
-    """True when each vector's ranking refines the other (equal rank vectors)."""
-    return is_finer(x, y, tie_tol) and is_finer(y, x, tie_tol)
+    """True when the rank vectors are equal.
+
+    Average-tie ranks are a function of the ordering alone, so this holds
+    exactly when each vector's ordering refines the other's.
+    """
+    vx, vy = _pair(x, y)
+    return rank_statistic(vx, tie_tol) == rank_statistic(vy, tie_tol)
 
 
 def agreement_count(x, y, tie_tol: float = DEFAULT_TIE_TOL) -> int:
     """Number of positions whose average-tie ranks coincide exactly."""
-    vx, vy = _values(x), _values(y)
-    if vx.shape != vy.shape:
-        raise ValueError(f"length mismatch: {vx.shape[0]} vs {vy.shape[0]}")
-    rx = rank_statistic(vx, tie_tol).ranks
-    ry = rank_statistic(vy, tie_tol).ranks
-    return int((rx == ry).sum())
+    vx, vy = _pair(x, y)
+    return int((rank_statistic(vx, tie_tol).ranks == rank_statistic(vy, tie_tol).ranks).sum())

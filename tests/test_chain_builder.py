@@ -94,7 +94,19 @@ def test_construction_routes_agree(seed):
     adj = random_adjacency(seed)
     via_inverse = transition_generalized_inverse(adj)
     via_patch = transition_from_patched(patch_zero_rows(adj))
-    assert np.abs(via_inverse.entries - via_patch.entries).max() <= 1e-12
+    np.testing.assert_array_equal(via_inverse.entries, via_patch.entries)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_construction_routes_bitwise_equal_on_weighted_inputs(seed):
+    # rankings use the generalized inverse in place of the patched route,
+    # so the two must agree to the last bit, not just within a tolerance
+    base = random_adjacency(seed).entries
+    weights = SplitMix64(seed + 3).uniforms(base.size).reshape(base.shape)
+    adj = AdjacencyMatrix.from_entries(base * weights * 10.0 ** (seed % 7 - 3))
+    via_inverse = transition_generalized_inverse(adj)
+    via_patch = transition_from_patched(patch_zero_rows(adj))
+    np.testing.assert_array_equal(via_inverse.entries, via_patch.entries)
 
 
 class TestDampedTransition:

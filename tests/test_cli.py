@@ -330,6 +330,29 @@ class TestEdgeListInputs:
         assert captured.out == ""
         assert captured.err == f"error: {edges}, line 3: edge row has no 'followed' column\n"
 
+    @pytest.mark.parametrize(
+        "edge_text, roster_text, bad, problem",
+        [
+            ("following,followed\na,b\nc,\n", None, "edges",
+             "line 3: edge row has an empty 'followed' field"),
+            ("following,followed\na,b\n", "id,screen_name\n1,a\n2,b\n4\n", "roster",
+             "line 4: roster row has no 'screen_name' column"),
+            ("following,followed\na,b\n", "id,screen_name\n1,a\n2,b\n4,\n", "roster",
+             "line 4: roster row has an empty 'screen_name' field"),
+        ],
+    )
+    def test_bad_row_exits_one(self, tmp_path, capsys, edge_text, roster_text, bad, problem):
+        files = {"edges": tmp_path / "edges.csv", "roster": tmp_path / "roster.csv"}
+        files["edges"].write_text(edge_text)
+        argv = ["pagerank", str(files["edges"]), "--format", "edgelist"]
+        if roster_text is not None:
+            files["roster"].write_text(roster_text)
+            argv += ["--roster", str(files["roster"])]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {files[bad]}, {problem}\n"
+
 
 class TestModuleEntryPoint:
     def run_module(self, *argv, module="netrank"):

@@ -84,6 +84,14 @@ class TestGenEr:
         with pytest.raises(ValueError):
             gen_er(3, 1.5, 1)
 
+    @pytest.mark.parametrize("n, p", [(1, 0.0), (1, 1.0), (7, 0.0), (7, 1.0), (40, 0.3)])
+    @pytest.mark.parametrize("seed", [0, 5, 2**63, 2**64 - 1])
+    def test_matches_direct_sampler(self, n, p, seed):
+        # the direct sampler gen_er used before it drew through a one-cell gen_block
+        entries = (SplitMix64(seed).uniforms(n * n) < p).astype(float).reshape(n, n)
+        np.fill_diagonal(entries, 0.0)
+        np.testing.assert_array_equal(gen_er(n, p, seed).entries, entries)
+
 
 def e2_spec(seed):
     return BlockSpec(
@@ -241,13 +249,13 @@ class TestInvarianceSweep:
         from netrank import experiments
 
         builds = []
-        build = experiments.transition_from_patched
+        build = experiments.transition_generalized_inverse
 
-        def counting_build(patched):
-            builds.append(patched)
-            return build(patched)
+        def counting_build(adj):
+            builds.append(adj)
+            return build(adj)
 
-        monkeypatch.setattr(experiments, "transition_from_patched", counting_build)
+        monkeypatch.setattr(experiments, "transition_generalized_inverse", counting_build)
         invariance_sweep(golden.EX_B)
         assert len(builds) == 1
 

@@ -6,7 +6,6 @@ from hypothesis.extra.numpy import arrays
 
 from netrank import (
     AdjacencyMatrix,
-    degrees,
     load_dense_matrix,
     load_edge_list,
     patch_zero_rows,
@@ -213,22 +212,18 @@ def test_numpy_conversion_matches_float(token):
 
 class TestDegrees:
     def test_four_node_out(self):
-        np.testing.assert_array_equal(degrees(golden.FOUR_NODE, "out").values, [2, 2, 1, 1])
+        np.testing.assert_array_equal(golden.FOUR_NODE.entries.sum(axis=1), [2, 2, 1, 1])
 
     def test_four_node_in(self):
-        np.testing.assert_array_equal(degrees(golden.FOUR_NODE, "in").values, [1, 3, 1, 1])
+        np.testing.assert_array_equal(golden.FOUR_NODE.entries.sum(axis=0), [1, 3, 1, 1])
 
     def test_zero_matrix(self):
         adj = AdjacencyMatrix.from_entries(np.zeros((3, 3)))
-        np.testing.assert_array_equal(degrees(adj, "out").values, [0, 0, 0])
+        np.testing.assert_array_equal(adj.entries.sum(axis=1), [0, 0, 0])
 
     def test_six_node_degrees(self):
-        np.testing.assert_array_equal(degrees(golden.EX1, "out").values, golden.EX1_OUT)
-        np.testing.assert_array_equal(degrees(golden.EX1, "in").values, golden.EX1_IN)
-
-    def test_bad_kind(self):
-        with pytest.raises(ValueError):
-            degrees(golden.FOUR_NODE, "sideways")
+        np.testing.assert_array_equal(golden.EX1.entries.sum(axis=1), golden.EX1_OUT)
+        np.testing.assert_array_equal(golden.EX1.entries.sum(axis=0), golden.EX1_IN)
 
 
 class TestPatchZeroRows:
@@ -270,7 +265,7 @@ def test_patch_is_idempotent(entries):
 @settings(max_examples=60, deadline=None)
 def test_patch_makes_out_degrees_positive(entries):
     patched = patch_zero_rows(AdjacencyMatrix.from_entries(entries))
-    assert (degrees(patched, "out").values > 0).all()
+    assert (patched.entries.sum(axis=1) > 0).all()
 
 
 class TestCsvReaders:
@@ -282,8 +277,8 @@ class TestCsvReaders:
         roster_file = tmp_path / "roster.csv"
         roster_file.write_text("id,screen_name,party\n1,p1,x\n2,p2,y\n3,p3,x\n4,p4,y\n")
         adj = load_edge_list(read_edge_list_csv(edge_file), read_roster_csv(roster_file))
-        np.testing.assert_array_equal(degrees(adj, "out").values, [2, 2, 1, 1])
-        np.testing.assert_array_equal(degrees(adj, "in").values, [1, 3, 1, 1])
+        np.testing.assert_array_equal(adj.entries.sum(axis=1), [2, 2, 1, 1])
+        np.testing.assert_array_equal(adj.entries.sum(axis=0), [1, 3, 1, 1])
 
     def test_edge_list_missing_columns(self, tmp_path):
         f = tmp_path / "edges.csv"
@@ -310,6 +305,35 @@ class TestCsvReaders:
         with pytest.raises(ValueError) as info:
             read_edge_list_csv(f)
         assert str(info.value) == f"{f}, line {line}: edge row has no {col!r} column"
+
+    @pytest.mark.parametrize(
+        "text, line, col",
+        [
+            ("following,followed\na,b\nc,\n", 3, "followed"),
+            ("following,followed\n,b\n", 2, "following"),
+            ('followed,x,following\nb,1,""\n', 2, "following"),
+        ],
+    )
+    def test_edge_list_empty_field_rejected(self, tmp_path, text, line, col):
+        f = tmp_path / "edges.csv"
+        f.write_text(text)
+        with pytest.raises(ValueError) as info:
+            read_edge_list_csv(f)
+        assert str(info.value) == f"{f}, line {line}: edge row has an empty {col!r} field"
+
+    @pytest.mark.parametrize(
+        "text, line, problem",
+        [
+            ("id,screen_name\n1,p1\n4\n", 3, "no 'screen_name' column"),
+            ("id,screen_name\n1,p1\n4,\n", 3, "an empty 'screen_name' field"),
+        ],
+    )
+    def test_roster_bad_row_rejected(self, tmp_path, text, line, problem):
+        f = tmp_path / "roster.csv"
+        f.write_text(text)
+        with pytest.raises(ValueError) as info:
+            read_roster_csv(f)
+        assert str(info.value) == f"{f}, line {line}: roster row has {problem}"
 
     def test_roster_missing_column(self, tmp_path):
         f = tmp_path / "roster.csv"

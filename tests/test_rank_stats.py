@@ -270,6 +270,18 @@ class TestIsIdenticalRank:
         by_ranks = rank_statistic(x) == rank_statistic(y)
         assert by_definition == by_ranks
 
+    @pytest.mark.parametrize("tie_tol", [0.0, 1e-9, -1.0, np.inf, np.nan])
+    @given(st.integers(0, 7), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_mutual_refinement(self, tie_tol, n, data):
+        # the definition is_identical_rank had before it compared rank vectors
+        pool = st.lists(
+            st.sampled_from([0.1, 0.1 + 1e-10, 0.2, 0.2, 0.5]), min_size=n, max_size=n
+        ).map(np.array)
+        x, y = data.draw(pool), data.draw(pool)
+        both_finer = is_finer(x, y, tie_tol) and is_finer(y, x, tie_tol)
+        assert is_identical_rank(x, y, tie_tol) == both_finer
+
 
 class TestAgreementCount:
     def test_identical_vectors(self):
