@@ -19,10 +19,9 @@ COLUMN_SUM_TOL = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class TransitionMatrix:
-    """Column-stochastic matrix plus a tag recording how it was built."""
+    """Column-stochastic matrix."""
 
     entries: np.ndarray
-    provenance: str = "plain"
 
     def __post_init__(self):
         e = _frozen(self.entries)
@@ -70,7 +69,7 @@ def transition_from_patched(patched: AdjacencyMatrix) -> TransitionMatrix:
     if (rowsums == 0).any():
         bad = int(np.nonzero(rowsums == 0)[0][0])
         raise ValueError(f"row {bad} has zero sum; patch zero rows before building the chain")
-    return TransitionMatrix(_adopt(patched.entries.T / rowsums), provenance="patched")
+    return TransitionMatrix(_adopt(patched.entries.T / rowsums))
 
 
 def transition_generalized_inverse(adj: AdjacencyMatrix) -> TransitionMatrix:
@@ -85,7 +84,7 @@ def transition_generalized_inverse(adj: AdjacencyMatrix) -> TransitionMatrix:
     deg = adj.entries.sum(axis=1)
     entries = adj.entries.T / np.where(deg > 0, deg, 1.0)
     entries[:, deg == 0] = 1.0 / adj.n
-    return TransitionMatrix(_adopt(entries), provenance="patched")
+    return TransitionMatrix(_adopt(entries))
 
 
 def damped_transition(base: TransitionMatrix, alpha: float) -> TransitionMatrix:
@@ -93,7 +92,7 @@ def damped_transition(base: TransitionMatrix, alpha: float) -> TransitionMatrix:
     if not 0 < alpha <= 1:
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
     entries = alpha * base.entries + (1.0 - alpha) / base.m
-    return TransitionMatrix(_adopt(entries), provenance=f"damped({alpha:g})")
+    return TransitionMatrix(_adopt(entries))
 
 
 def augment_adjacency(patched: AdjacencyMatrix, epsilon: float) -> AugmentedAdjacency:
@@ -116,10 +115,7 @@ def transition_from_augmented(augmented: AugmentedAdjacency) -> TransitionMatrix
     rowsums = augmented.entries.sum(axis=1)
     if (rowsums <= 0).any():
         raise ValueError("augmented matrix has a zero row sum")
-    return TransitionMatrix(
-        _adopt(augmented.entries.T / rowsums),
-        provenance=f"augmented({augmented.epsilon:g})",
-    )
+    return TransitionMatrix(_adopt(augmented.entries.T / rowsums))
 
 
 @dataclass(frozen=True)

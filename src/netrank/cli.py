@@ -81,7 +81,7 @@ def _run_ranking(args, solve) -> int:
 
 
 def _read_score_csv(path) -> tuple[list[str], list[float]]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or not {"label", "score"} <= set(reader.fieldnames):
             raise ValueError(f"{path}: score file needs 'label' and 'score' columns")
@@ -256,7 +256,7 @@ def main(argv=None) -> int:
     except MultiplicityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MULTIPLICITY
-    except (ValueError, OSError, NonConvergenceError, DegenerateVectorError) as exc:
+    except (ValueError, OSError, MemoryError, NonConvergenceError, DegenerateVectorError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

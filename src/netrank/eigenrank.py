@@ -32,6 +32,9 @@ DEGENERATE_SCORE = 1e-12
 
 SCORE_SUM_TOL = 1e-9
 
+# eigenvalue_one_space treats pivots at most PIVOT_TOL * m as zero.
+PIVOT_TOL = 1e-5
+
 
 class MultiplicityError(Exception):
     """The eigenvalue-1 eigenspace is not one-dimensional, so no unique ranking exists."""
@@ -63,14 +66,13 @@ class DegenerateVectorError(Exception):
 class ScoreVector:
     """Non-negative scores summing to 1, one per labelled node.
 
-    `degenerate` is set when any score is <= 1e-12 or negative, the signature
+    `degenerate` is true when any score is <= 1e-12 or negative, the signature
     of solving at an unstable parameter (the scores are still returned).
     `iterations` is filled by the power method only.
     """
 
     values: np.ndarray
     labels: tuple[str, ...]
-    degenerate: bool = False
     iterations: Optional[int] = None
 
     def __post_init__(self):
@@ -86,6 +88,10 @@ class ScoreVector:
     @property
     def n(self) -> int:
         return self.values.shape[0]
+
+    @property
+    def degenerate(self) -> bool:
+        return bool((self.values <= DEGENERATE_SCORE).any())
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,11 +127,11 @@ class PowerIterConfig:
 _PANEL = 32
 
 
-def eigenvalue_one_space(matrix: TransitionMatrix, tol: float = 1e-5) -> EigenSpace:
-    """Null space of (M - I) with pivots below tol*m treated as zero.
+def eigenvalue_one_space(matrix: TransitionMatrix) -> EigenSpace:
+    """Null space of (M - I) with pivots below PIVOT_TOL*m treated as zero.
 
     Gaussian elimination with partial pivoting that skips (leaves free) a
-    column whose largest remaining entry is at most tol*m; the threshold
+    column whose largest remaining entry is at most PIVOT_TOL*m; the threshold
     scales with the dimension to mirror how close to 1 a second eigenvalue
     must be before the ranking is reported as ill-defined.  When the nullity
     is 1 the basis vector is returned unnormalized (arbitrary sign and scale).
@@ -140,7 +146,7 @@ def eigenvalue_one_space(matrix: TransitionMatrix, tol: float = 1e-5) -> EigenSp
     of the unblocked column-by-column elimination.
     """
     m = matrix.m
-    threshold = tol * m
+    threshold = PIVOT_TOL * m
     U = matrix.entries.copy()
     np.fill_diagonal(U, U.diagonal() - 1.0)  # M - I without an m x m identity
     L = np.empty((m, _PANEL))  # multipliers of the current panel, by pivot
@@ -215,10 +221,7 @@ def stationary_power(
         x = x_next
         if diff <= cfg.tolerance:
             return ScoreVector(
-                x,
-                tuple(labels) if labels is not None else default_labels(m),
-                degenerate=bool((x <= DEGENERATE_SCORE).any()),
-                iterations=k,
+                x, tuple(labels) if labels is not None else default_labels(m), iterations=k
             )
     raise NonConvergenceError(x, cfg.max_iterations, cfg.tolerance)
 
@@ -227,8 +230,7 @@ def _normalize_scores(vector: np.ndarray, labels: tuple[str, ...]) -> ScoreVecto
     s = vector.sum()
     if abs(s) <= 1e-12 * max(np.abs(vector).max(), 1e-300):
         raise DegenerateVectorError("degenerate eigenvector: entry sum is zero")
-    scores = vector / s
-    return ScoreVector(scores, labels, degenerate=bool((scores <= DEGENERATE_SCORE).any()))
+    return ScoreVector(vector / s, labels)
 
 
 def _power_cfg(cfg: Optional[PowerIterConfig]) -> PowerIterConfig:
@@ -255,8 +257,6 @@ def pagerank(
     method="power" iterates to the fixed point (default tolerance 1e-15)
     and raises NonConvergenceError on periodic chains.
     """
-    if not 0 < alpha <= 1:
-        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
     chain = damped_transition(transition_generalized_inverse(adj), alpha)
     return _solve_ranking(chain, adj.labels, method, cfg)
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -67,11 +68,9 @@ class AdjacencyMatrix:
         return self.entries.shape[0]
 
     @classmethod
-    def from_entries(cls, entries, labels: Optional[Sequence[str]] = None) -> "AdjacencyMatrix":
+    def from_entries(cls, entries) -> "AdjacencyMatrix":
         e = np.asarray(entries, dtype=float)
-        if labels is None:
-            labels = default_labels(e.shape[0] if e.ndim == 2 else 0)
-        return cls(e, tuple(labels))
+        return cls(e, default_labels(e.shape[0] if e.ndim == 2 else 0))
 
 
 def load_edge_list(
@@ -84,36 +83,28 @@ def load_edge_list(
     keep zero rows/columns; otherwise nodes appear in first-appearance order.
     Duplicate edges collapse to a single 1.  Self-edges are recorded as given.
     """
-    edges = []
+    ends = []  # follower, followed, follower, ...
     for row in edge_rows:
         if len(row) != 2:
             raise ValueError(f"edge row must have two labels, got {row!r}")
         a, b = str(row[0]), str(row[1])
         if not a or not b:
             raise ValueError(f"edge row has an empty label: {row!r}")
-        edges.append((a, b))
+        ends += a, b
 
-    if roster is not None:
-        labels = tuple(str(l) for l in roster)
-        index = {l: i for i, l in enumerate(labels)}
-        if len(index) != len(labels):
-            raise ValueError("roster labels must be pairwise distinct")
-        for a, b in edges:
-            if a not in index or b not in index:
-                raise ValueError(f"edge label not in roster: {a if a not in index else b!r}")
-    else:
-        index: dict[str, int] = {}
-        for a, b in edges:
-            for l in (a, b):
-                if l not in index:
-                    index[l] = len(index)
-        labels = tuple(index)
-
+    labels = tuple(map(str, roster) if roster is not None else dict.fromkeys(ends))
+    index = {l: i for i, l in enumerate(labels)}
+    if len(index) != len(labels):
+        raise ValueError("roster labels must be pairwise distinct")
+    # -1 marks a label outside the roster
+    nodes = np.fromiter(map(index.get, ends, repeat(-1)), dtype=np.intp, count=len(ends))
+    missing = np.flatnonzero(nodes < 0)
+    if missing.size:
+        raise ValueError(f"edge label not in roster: {ends[missing[0]]!r}")
     if not labels:
         raise ValueError("no nodes: empty edge list and no roster")
     entries = np.zeros((len(labels), len(labels)))
-    for a, b in edges:
-        entries[index[a], index[b]] = 1.0
+    entries[nodes[0::2], nodes[1::2]] = 1.0
     return AdjacencyMatrix(_adopt(entries), labels)
 
 
@@ -129,11 +120,11 @@ def _split_row(line: str) -> list[str]:
     return next(csv.reader([line])) if "," in line else line.split()
 
 
-def load_dense_matrix(text: str, labels: Optional[Sequence[str]] = None) -> AdjacencyMatrix:
+def load_dense_matrix(text: str) -> AdjacencyMatrix:
     """Parse a dense adjacency grid (comma- or whitespace-separated rows).
 
     A non-numeric first row is taken as a header and its tokens become the
-    node labels unless explicit labels are given.  Default labels are "1".."n".
+    node labels.  Default labels are "1".."n".
     Numbers are whatever float() accepts; numpy converts the grid in one pass.
     """
     rows = [_split_row(line) for line in text.splitlines() if line.strip()]
@@ -154,8 +145,7 @@ def load_dense_matrix(text: str, labels: Optional[Sequence[str]] = None) -> Adja
         raise ValueError(f"non-numeric entry {bad.strip()!r} in dense matrix") from None
     if entries.shape[0] != entries.shape[1]:
         raise ValueError(f"dense matrix must be square, got {entries.shape[0]}x{entries.shape[1]}")
-    if labels is None:
-        labels = header if header is not None else default_labels(entries.shape[0])
+    labels = header if header is not None else default_labels(entries.shape[0])
     return AdjacencyMatrix(_adopt(entries), tuple(labels))
 
 
@@ -171,7 +161,7 @@ def patch_zero_rows(adj: AdjacencyMatrix) -> AdjacencyMatrix:
 
 
 def read_dense_csv(path) -> AdjacencyMatrix:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return load_dense_matrix(fh.read())
 
 
@@ -186,7 +176,7 @@ def read_edge_list_csv(
     A row too short to reach either column, or with either field empty, is
     rejected with its line number.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise ValueError(f"{path}: empty edge-list file")
@@ -209,18 +199,24 @@ def _check_field(value: Optional[str], where: str, col: str) -> None:
         raise ValueError(f"{where} has an empty {col!r} field")
 
 
-def read_roster_csv(path, label_col: str = "screen_name") -> list[str]:
+def read_roster_csv(path) -> list[str]:
     """Read the node roster from a CSV with a `screen_name` column.
 
-    A row too short to reach that column, or with it empty, is rejected with
-    its line number.
+    A row too short to reach that column, with it empty, or repeating an
+    earlier name is rejected with its line number.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None or label_col not in reader.fieldnames:
-            raise ValueError(f"{path}: roster file needs a {label_col!r} column")
-        labels = []
+        if reader.fieldnames is None or "screen_name" not in reader.fieldnames:
+            raise ValueError(f"{path}: roster file needs a 'screen_name' column")
+        first_line: dict[str, int] = {}
         for row in reader:
-            _check_field(row[label_col], f"{path}, line {reader.line_num}: roster row", label_col)
-            labels.append(row[label_col])
-        return labels
+            where = f"{path}, line {reader.line_num}: roster row"
+            label = row["screen_name"]
+            _check_field(label, where, "screen_name")
+            if label in first_line:
+                raise ValueError(
+                    f"{where} repeats screen_name {label!r} (first on line {first_line[label]})"
+                )
+            first_line[label] = reader.line_num
+        return list(first_line)

@@ -29,7 +29,6 @@ def _values(x) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class RankStatistic:
     ranks: np.ndarray
-    tie_tolerance: float
 
     def __post_init__(self):
         object.__setattr__(self, "ranks", _frozen(self.ranks))
@@ -59,7 +58,7 @@ def rank_statistic(scores, tie_tol: float = DEFAULT_TIE_TOL) -> RankStatistic:
     ranks = np.empty(len(v))
     # positions are 1-based; tied entries share the mean position
     ranks[order] = np.repeat((starts + stops + 1) / 2.0, stops - starts)
-    return RankStatistic(ranks, tie_tol)
+    return RankStatistic(ranks)
 
 
 def _pair(x, y) -> tuple[np.ndarray, np.ndarray]:

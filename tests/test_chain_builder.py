@@ -58,9 +58,6 @@ class TestTransitionFromPatched:
         with pytest.raises(ValueError, match="zero sum"):
             transition_from_patched(golden.EX1)
 
-    def test_provenance(self):
-        assert transition_from_patched(golden.FOUR_NODE).provenance == "patched"
-
 
 class TestTransitionGeneralizedInverse:
     def test_worked_zero_row_case(self):
@@ -182,10 +179,6 @@ class TestTransitionFromAugmented:
             augment_adjacency(patch_zero_rows(golden.EX1), 0.5)
         )
         np.testing.assert_allclose(M.entries.sum(axis=0), np.ones(7), atol=1e-12)
-
-    def test_provenance_carries_epsilon(self):
-        M = transition_from_augmented(augment_adjacency(golden.FOUR_NODE, 0.5))
-        assert M.provenance == "augmented(0.5)"
 
 
 def int_pattern_regular(matrix, k_max=None):

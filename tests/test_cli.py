@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from netrank import experiments
 from netrank.cli import main
 
 import golden
@@ -92,6 +93,12 @@ class TestPagerankCommand:
             '[\n  {\n    "label": "1",\n    "score": 0.5,\n    "rank": 1.5\n  },\n'
             '  {\n    "label": "2",\n    "score": 0.5,\n    "rank": 1.5\n  }\n]\n'
         )
+
+    def test_byte_order_mark_not_in_header_label(self, tmp_path, capsys):
+        path = tmp_path / "bom.csv"
+        path.write_text("\ufeffa,b\n0,1\n1,0\n", encoding="utf-8")
+        assert main(["pagerank", str(path), "--alpha", "0.5"]) == 0
+        assert capsys.readouterr().out == "label,score,rank\na,0.5,1.5\nb,0.5,1.5\n"
 
     def test_deterministic_output(self, six_node_file, capsys):
         main(["pagerank", six_node_file])
@@ -199,6 +206,12 @@ class TestCompareCommand:
         err = capsys.readouterr().err
         assert err == f"error: {bad}, line 3: missing or non-numeric score {shown}\n"
 
+    def test_byte_order_mark_in_score_file(self, tmp_path, capsys):
+        path = tmp_path / "a.csv"
+        path.write_text("\ufefflabel,score\na,0.25\nb,0.75\n", encoding="utf-8")
+        assert main(["compare", str(path), str(path)]) == 0
+        assert "identical: true" in capsys.readouterr().out
+
     def test_row_without_label_exits_one(self, tmp_path, capsys):
         path = tmp_path / "a.csv"
         path.write_text("score,label\n0.5,a\n0.5\n")
@@ -251,6 +264,20 @@ class TestGenCommand:
 
     def test_er_requires_n_and_p(self, tmp_path):
         assert main(["gen", "--model", "er", "--out", str(tmp_path / "x.csv")]) == 1
+
+    def test_out_of_memory_exits_one(self, tmp_path, capsys, monkeypatch):
+        message = ("Unable to allocate 65.5 TiB for an array with shape "
+                   "(3000000, 3000000) and data type float64")
+
+        def gen_er(n, p, seed):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(experiments, "gen_er", gen_er)
+        out = tmp_path / "x.csv"
+        argv = ["gen", "--model", "er", "--n", "3000000", "--p", "0.1", "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
 
 class TestSweepCommand:
@@ -339,6 +366,8 @@ class TestEdgeListInputs:
              "line 4: roster row has no 'screen_name' column"),
             ("following,followed\na,b\n", "id,screen_name\n1,a\n2,b\n4,\n", "roster",
              "line 4: roster row has an empty 'screen_name' field"),
+            ("following,followed\na,b\n", "id,screen_name\n1,a\n2,b\n3,a\n", "roster",
+             "line 4: roster row repeats screen_name 'a' (first on line 2)"),
         ],
     )
     def test_bad_row_exits_one(self, tmp_path, capsys, edge_text, roster_text, bad, problem):

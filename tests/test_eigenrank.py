@@ -9,6 +9,7 @@ from netrank import (
     MultiplicityError,
     NonConvergenceError,
     PowerIterConfig,
+    ScoreVector,
     SplitMix64,
     TransitionMatrix,
     augment_adjacency,
@@ -21,7 +22,7 @@ from netrank import (
     transition_from_augmented,
     transition_from_patched,
 )
-from netrank.eigenrank import EigenSpace, _normalize_scores
+from netrank.eigenrank import PIVOT_TOL, EigenSpace, _normalize_scores
 
 import golden
 
@@ -39,15 +40,15 @@ def augmented_chain_ranking(adj, eps):
     return _normalize_scores(space.vector[: adj.n], adj.labels)
 
 
-def unblocked_null_space(matrix, tol=1e-5):
+def unblocked_null_space(matrix):
     """The column-by-column threshold elimination, as an oracle for the blocked one.
 
     Same pivot rule as eigenvalue_one_space (partial pivoting, a column
-    skipped when its best pivot is at most tol*m), with each pivot's rank-1
-    update applied to whole rows at once.
+    skipped when its best pivot is at most PIVOT_TOL*m), with each pivot's
+    rank-1 update applied to whole rows at once.
     """
     m = matrix.m
-    threshold = tol * m
+    threshold = PIVOT_TOL * m
     U = matrix.entries - np.eye(m)
     pivot_rows = []
     r = 0
@@ -89,6 +90,10 @@ class TestEigenvalueOneSpace:
     def test_vector_none_when_not_unique(self):
         space = eigenvalue_one_space(TransitionMatrix(np.eye(3)))
         assert space.multiplicity == 3 and space.vector is None
+
+    @pytest.mark.parametrize("M", [golden.CHAIN_3, TransitionMatrix(np.eye(4))])
+    def test_tolerance_used_scales_pivot_tol(self, M):
+        assert eigenvalue_one_space(M).tolerance_used == PIVOT_TOL * M.m
 
     def test_residual_small(self):
         for adj in (golden.FOUR_NODE, golden.EX_A, golden.EX_B, golden.EX_D, golden.EX1):
@@ -342,6 +347,14 @@ def test_markovrank_matches_augmented_chain(name, eps):
     got = markovrank(adj, eps)
     assert got.degenerate == expected.degenerate
     assert np.abs(got.values - expected.values).max() <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "low, degenerate",
+    [(1e-12, True), (-1e-3, True), (0.0, True), (np.nextafter(1e-12, 1.0), False)],
+)
+def test_degenerate_flag_boundary(low, degenerate):
+    assert ScoreVector(np.array([low, 1.0 - low]), ("a", "b")).degenerate is degenerate
 
 
 def test_degenerate_zero_sum_vector_raises():

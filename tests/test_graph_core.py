@@ -9,6 +9,7 @@ from netrank import (
     load_dense_matrix,
     load_edge_list,
     patch_zero_rows,
+    read_dense_csv,
     read_edge_list_csv,
     read_roster_csv,
 )
@@ -93,6 +94,90 @@ class TestLoadEdgeList:
     def test_empty_edges_with_roster_is_fine(self):
         adj = load_edge_list([], roster=["a", "b"])
         assert adj.entries.sum() == 0
+
+
+def looped_load_edge_list(edge_rows, roster=None):
+    """load_edge_list with a label-index branch and a per-edge loop, as an oracle."""
+    edges = []
+    for row in edge_rows:
+        if len(row) != 2:
+            raise ValueError(f"edge row must have two labels, got {row!r}")
+        a, b = str(row[0]), str(row[1])
+        if not a or not b:
+            raise ValueError(f"edge row has an empty label: {row!r}")
+        edges.append((a, b))
+
+    if roster is not None:
+        labels = tuple(str(l) for l in roster)
+        index = {l: i for i, l in enumerate(labels)}
+        if len(index) != len(labels):
+            raise ValueError("roster labels must be pairwise distinct")
+        for a, b in edges:
+            if a not in index or b not in index:
+                raise ValueError(f"edge label not in roster: {a if a not in index else b!r}")
+    else:
+        index = {}
+        for a, b in edges:
+            for l in (a, b):
+                if l not in index:
+                    index[l] = len(index)
+        labels = tuple(index)
+
+    if not labels:
+        raise ValueError("no nodes: empty edge list and no roster")
+    entries = np.zeros((len(labels), len(labels)))
+    for a, b in edges:
+        entries[index[a], index[b]] = 1.0
+    return AdjacencyMatrix(entries, labels)
+
+
+def edge_list_outcome(load, edges, roster):
+    """Labels and entries of a load, or the message of the ValueError it raises."""
+    try:
+        adj = load(edges, roster)
+    except ValueError as exc:
+        return str(exc)
+    return adj.labels, adj.entries.tolist()
+
+
+def random_edge_list(seed):
+    """Small seeded edge list over str and int labels, with duplicates and self-edges."""
+    rng = np.random.default_rng(seed)
+    pool = [f"u{i}" for i in range(rng.integers(1, 6))] + list(range(rng.integers(0, 5)))
+    pool = pool or ["u0"]
+    picks = rng.integers(0, len(pool), size=(rng.integers(0, 25), 2))
+    return [(pool[i], pool[j]) for i, j in picks], pool
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_load_edge_list_matches_loop(seed):
+    edges, pool = random_edge_list(seed)
+    rng = np.random.default_rng(seed + 1000)
+    # a shuffled roster with isolated extra nodes, and no roster at all
+    roster = [pool[i] for i in rng.permutation(len(pool))] + ["iso1", "iso2"][: seed % 3]
+    for r in (roster, None):
+        got = edge_list_outcome(load_edge_list, edges, r)
+        assert got == edge_list_outcome(looped_load_edge_list, edges, r)
+        assert isinstance(got, tuple) or (r is None and not edges)
+
+
+@pytest.mark.parametrize(
+    "edges, roster, message",
+    [
+        ([("a", "b")], ["a", "b", "a"], "roster labels must be pairwise distinct"),
+        ([("a", "b"), ("a", "y"), ("x", "b")], ["a", "b"], "edge label not in roster: 'y'"),
+        ([("a", "b"), ("x", "y")], ["a", "b"], "edge label not in roster: 'x'"),
+        ([(1, 2), (2, 3)], [1, 2], "edge label not in roster: '3'"),
+        ([("a", "b")], [], "edge label not in roster: 'a'"),
+        ([], None, "no nodes: empty edge list and no roster"),
+        ([], [], "no nodes: empty edge list and no roster"),
+        ([("a", "b"), ("c",)], ["a"], "edge row must have two labels, got ('c',)"),
+        ([("a", "z"), ("c", "")], ["a", "a"], "edge row has an empty label: ('c', '')"),
+    ],
+)
+def test_load_edge_list_errors_match_loop(edges, roster, message):
+    assert edge_list_outcome(load_edge_list, edges, roster) == message
+    assert edge_list_outcome(looped_load_edge_list, edges, roster) == message
 
 
 class TestLoadDenseMatrix:
@@ -334,6 +419,30 @@ class TestCsvReaders:
         with pytest.raises(ValueError) as info:
             read_roster_csv(f)
         assert str(info.value) == f"{f}, line {line}: roster row has {problem}"
+
+    def test_roster_repeated_name_rejected(self, tmp_path):
+        f = tmp_path / "roster.csv"
+        f.write_text("id,screen_name\n1,a\n2,b\n3,a\n")
+        with pytest.raises(ValueError) as info:
+            read_roster_csv(f)
+        assert str(info.value) == (
+            f"{f}, line 4: roster row repeats screen_name 'a' (first on line 2)"
+        )
+
+    @pytest.mark.parametrize(
+        "read, text, expected",
+        [
+            (lambda f: read_dense_csv(f).labels, "a,b\n0,1\n0,0\n", ("a", "b")),
+            (read_edge_list_csv, "following,followed\na,b\n", [("a", "b")]),
+            (read_roster_csv, "screen_name\nb\na\n", ["b", "a"]),
+        ],
+        ids=["dense", "edges", "roster"],
+    )
+    def test_byte_order_mark_is_skipped(self, tmp_path, read, text, expected):
+        # Excel's "CSV UTF-8" export starts the file with U+FEFF
+        f = tmp_path / "in.csv"
+        f.write_text("\ufeff" + text, encoding="utf-8")
+        assert read(f) == expected
 
     def test_roster_missing_column(self, tmp_path):
         f = tmp_path / "roster.csv"
