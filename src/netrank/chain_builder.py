@@ -81,18 +81,30 @@ def transition_generalized_inverse(adj: AdjacencyMatrix) -> TransitionMatrix:
     Columns are divided by their out-degree, not multiplied by its
     reciprocal, so the result equals the patched route bit for bit.
     """
+    return TransitionMatrix(_adopt(_generalized_inverse(adj)))
+
+
+def _generalized_inverse(adj: AdjacencyMatrix) -> np.ndarray:
+    """Fresh writable entries of transition_generalized_inverse(adj)."""
     deg = adj.entries.sum(axis=1)
     entries = adj.entries.T / np.where(deg > 0, deg, 1.0)
     entries[:, deg == 0] = 1.0 / adj.n
-    return TransitionMatrix(_adopt(entries))
+    return entries
 
 
 def damped_transition(base: TransitionMatrix, alpha: float) -> TransitionMatrix:
     """Mix the chain with the uniform distribution: alpha*M + (1-alpha)/m."""
+    # order="K" keeps the memory layout, and with it the rounding of M @ x
+    return TransitionMatrix(_adopt(_damp(base.entries.copy(order="K"), alpha)))
+
+
+def _damp(entries: np.ndarray, alpha: float) -> np.ndarray:
+    """Damp a fresh m x m chain array in place, as damped_transition does."""
     if not 0 < alpha <= 1:
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-    entries = alpha * base.entries + (1.0 - alpha) / base.m
-    return TransitionMatrix(_adopt(entries))
+    entries *= alpha
+    entries += (1.0 - alpha) / entries.shape[0]
+    return entries
 
 
 def augment_adjacency(patched: AdjacencyMatrix, epsilon: float) -> AugmentedAdjacency:

@@ -85,10 +85,12 @@ def _read_score_csv(path) -> tuple[list[str], list[float]]:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or not {"label", "score"} <= set(reader.fieldnames):
             raise ValueError(f"{path}: score file needs 'label' and 'score' columns")
-        labels, scores = [], []
+        first_line: dict[str, int] = {}  # label -> line, in file order
+        scores = []
         for row in reader:
             where = f"{path}, line {reader.line_num}"
-            if row["label"] is None:
+            label = row["label"]
+            if label is None:
                 raise ValueError(f"{where}: row has no label")
             try:
                 scores.append(float(row["score"]))
@@ -96,12 +98,14 @@ def _read_score_csv(path) -> tuple[list[str], list[float]]:
                 raise ValueError(
                     f"{where}: missing or non-numeric score {row['score']!r}"
                 ) from None
-            labels.append(row["label"])
-    if not labels:
+            if label in first_line:
+                raise ValueError(
+                    f"{where}: repeats label {label!r} (first on line {first_line[label]})"
+                )
+            first_line[label] = reader.line_num
+    if not first_line:
         raise ValueError(f"{path}: score file has no rows")
-    if len(set(labels)) != len(labels):
-        raise ValueError(f"{path}: duplicate labels in score file")
-    return labels, scores
+    return list(first_line), scores
 
 
 def cmd_compare(args) -> int:

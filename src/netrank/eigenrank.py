@@ -23,8 +23,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .graph_core import AdjacencyMatrix, _frozen, default_labels
-from .chain_builder import TransitionMatrix, damped_transition, transition_generalized_inverse
+from .graph_core import AdjacencyMatrix, _adopt, _frozen, default_labels
+from .chain_builder import TransitionMatrix, _damp, _generalized_inverse
 
 # Scores at or below this (including any negative score) mark a result as
 # numerically degenerate: the chain was solved at an unstable parameter.
@@ -233,11 +233,6 @@ def _normalize_scores(vector: np.ndarray, labels: tuple[str, ...]) -> ScoreVecto
     return ScoreVector(vector / s, labels)
 
 
-def _power_cfg(cfg: Optional[PowerIterConfig]) -> PowerIterConfig:
-    # high-accuracy default for the ranking entry points
-    return cfg if cfg is not None else PowerIterConfig(tolerance=1e-15)
-
-
 def pagerank(
     adj: AdjacencyMatrix,
     alpha: float,
@@ -249,7 +244,7 @@ def pagerank(
     The column-stochastic chain is built by the generalized inverse (zero
     rows go uniform, as if patched to all-ones), damped by alpha toward
     uniform, and the scores are the normalized fixed-point vector of the
-    damped chain.
+    damped chain.  The chain is built and damped in one n x n array.
 
     method="exact" solves the eigenvalue-1 problem directly and raises
     MultiplicityError when the eigenspace is not one-dimensional, which can
@@ -257,28 +252,16 @@ def pagerank(
     method="power" iterates to the fixed point (default tolerance 1e-15)
     and raises NonConvergenceError on periodic chains.
     """
-    chain = damped_transition(transition_generalized_inverse(adj), alpha)
-    return _solve_ranking(chain, adj.labels, method, cfg)
-
-
-def _solve_ranking(
-    chain: TransitionMatrix,
-    labels: tuple[str, ...],
-    method: str = "exact",
-    cfg: Optional[PowerIterConfig] = None,
-) -> ScoreVector:
-    """Normalized fixed point of a damped chain, by the method pagerank names.
-
-    Takes the damped chain alone, so that the undamped one can be freed (or,
-    in a sweep, shared) while the solve runs.
-    """
+    chain = TransitionMatrix(_adopt(_damp(_generalized_inverse(adj), alpha)))
     if method == "exact":
         space = eigenvalue_one_space(chain)
         if space.multiplicity != 1:
             raise MultiplicityError(space.multiplicity)
-        return _normalize_scores(space.vector, labels)
+        return _normalize_scores(space.vector, adj.labels)
     if method == "power":
-        return stationary_power(chain, _power_cfg(cfg), labels=labels)
+        # high-accuracy default for the ranking entry points
+        cfg = cfg if cfg is not None else PowerIterConfig(tolerance=1e-15)
+        return stationary_power(chain, cfg, labels=adj.labels)
     raise ValueError(f"method must be 'exact' or 'power', got {method!r}")
 
 
@@ -291,7 +274,8 @@ def _hub_alpha(adj: AdjacencyMatrix, epsilon: float) -> float:
         raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
     out = adj.entries.sum(axis=1)
     total = out.sum() + adj.n * np.count_nonzero(out == 0)
-    return 2 * total / (2 * total + epsilon)
+    # 2S / (2S + eps) without the doubling, which could overflow
+    return total / (total + epsilon / 2)
 
 
 def markovrank(

@@ -21,8 +21,7 @@ import numpy as np
 
 from .graph_core import AdjacencyMatrix
 from . import rank_stats
-from .chain_builder import damped_transition, transition_generalized_inverse
-from .eigenrank import DegenerateVectorError, MultiplicityError, _hub_alpha, _solve_ranking
+from .eigenrank import DegenerateVectorError, MultiplicityError, _hub_alpha, pagerank
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -212,16 +211,15 @@ def invariance_sweep(
     epsilon = 1).  Grid-point failures (no unique fixed point, degenerate
     eigenvector) are recorded in the report rather than raised.  Both
     families are one damped family: epsilon maps to alpha = 2S / (2S + eps)
-    (see markovrank).  The chain is built once, and each distinct alpha is
-    damped and solved once.
+    (see markovrank).  Each distinct alpha is ranked once, by the exact
+    pagerank.
     """
-    chain = transition_generalized_inverse(adj)
     solved = {}  # alpha -> ScoreVector, or the error its solve raised
 
     def solve(alpha):
         if alpha not in solved:
             try:
-                solved[alpha] = _solve_ranking(damped_transition(chain, alpha), adj.labels)
+                solved[alpha] = pagerank(adj, alpha)
             except (MultiplicityError, DegenerateVectorError) as exc:
                 solved[alpha] = exc
         return solved[alpha]

@@ -51,10 +51,15 @@ class AdjacencyMatrix:
             raise ValueError(f"adjacency matrix must be square, got shape {e.shape}")
         if e.shape[0] == 0:
             raise ValueError("adjacency matrix must have at least one node")
-        if not np.isfinite(e).all():
+        # one finite total rules out NaN, inf and degrees that overflow
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite_total = np.isfinite(e.sum())
+        if not finite_total and not np.isfinite(e).all():
             raise ValueError("adjacency entries must be finite")
         if (e < 0).any():
             raise ValueError("adjacency entries must be non-negative")
+        if not finite_total:
+            raise ValueError("adjacency weights overflow: their total exceeds the float64 range")
         labels = tuple(str(l) for l in self.labels)
         if len(labels) != e.shape[0]:
             raise ValueError(f"{len(labels)} labels for {e.shape[0]} nodes")
@@ -124,9 +129,15 @@ def load_dense_matrix(text: str) -> AdjacencyMatrix:
     """Parse a dense adjacency grid (comma- or whitespace-separated rows).
 
     A non-numeric first row is taken as a header and its tokens become the
-    node labels.  Default labels are "1".."n".
+    node labels; a header of the wrong width or with a repeated label is
+    rejected with its line number.  Default labels are "1".."n".
     Numbers are whatever float() accepts; numpy converts the grid in one pass.
     """
+    return _load_dense(text, "dense matrix input")
+
+
+def _load_dense(text: str, source: str) -> AdjacencyMatrix:
+    """load_dense_matrix, naming `source` in header errors."""
     rows = [_split_row(line) for line in text.splitlines() if line.strip()]
     if not rows:
         raise ValueError("empty dense matrix input")
@@ -145,8 +156,16 @@ def load_dense_matrix(text: str) -> AdjacencyMatrix:
         raise ValueError(f"non-numeric entry {bad.strip()!r} in dense matrix") from None
     if entries.shape[0] != entries.shape[1]:
         raise ValueError(f"dense matrix must be square, got {entries.shape[0]}x{entries.shape[1]}")
-    labels = header if header is not None else default_labels(entries.shape[0])
-    return AdjacencyMatrix(_adopt(entries), tuple(labels))
+    labels = tuple(header) if header is not None else default_labels(entries.shape[0])
+    if len(labels) != entries.shape[1] or len(set(labels)) != len(labels):
+        # the header is the first non-blank line
+        line = next(i for i, l in enumerate(text.splitlines(), 1) if l.strip())
+        where = f"{source}, line {line}: header"
+        if len(labels) != entries.shape[1]:
+            raise ValueError(f"{where} has {len(labels)} labels for {entries.shape[1]} columns")
+        repeat = next(l for i, l in enumerate(labels) if l in labels[:i])
+        raise ValueError(f"{where} repeats label {repeat!r}")
+    return AdjacencyMatrix(_adopt(entries), labels)
 
 
 def patch_zero_rows(adj: AdjacencyMatrix) -> AdjacencyMatrix:
@@ -162,7 +181,7 @@ def patch_zero_rows(adj: AdjacencyMatrix) -> AdjacencyMatrix:
 
 def read_dense_csv(path) -> AdjacencyMatrix:
     with open(path, "r", encoding="utf-8-sig") as fh:
-        return load_dense_matrix(fh.read())
+        return _load_dense(fh.read(), str(path))
 
 
 def read_edge_list_csv(

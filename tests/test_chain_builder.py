@@ -133,6 +133,16 @@ class TestDampedTransition:
         assert (damped.entries > 0).all()
         assert is_regular(damped).witness_k == 1
 
+    @pytest.mark.parametrize("alpha", [0.5, 0.85, 0.99, 1.0])
+    def test_in_place_damping_rounds_as_the_expression(self, alpha):
+        # alpha * M + (1 - alpha) / m, evaluated with a temporary per operation
+        M = transition_generalized_inverse(gen_er(30, 0.2, 4))
+        expected = alpha * M.entries + (1.0 - alpha) / M.m
+        damped = damped_transition(M, alpha).entries
+        np.testing.assert_array_equal(damped, expected)
+        # the layout decides the summation order of M @ x in power iteration
+        assert damped.flags.f_contiguous == expected.flags.f_contiguous
+
 
 class TestAugmentAdjacency:
     def test_epsilon_zero_empty_last_column(self):
@@ -287,10 +297,12 @@ def _builders(n=400):
     adj = gen_er(n, 0.05, 3)
     patched = patch_zero_rows(adj)
     augmented = augment_adjacency(patched, 0.5)
+    chain = transition_generalized_inverse(adj)
     edges = [(str(i), str((i + d) % n)) for i in range(n) for d in (1, 7)]
     return {
         "load_edge_list": lambda: load_edge_list(edges),
         "transition_generalized_inverse": lambda: transition_generalized_inverse(adj),
+        "damped_transition": lambda: damped_transition(chain, 0.85),
         "augment_adjacency": lambda: augment_adjacency(patched, 0.5),
         "transition_from_augmented": lambda: transition_from_augmented(augmented),
     }

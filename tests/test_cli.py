@@ -100,6 +100,34 @@ class TestPagerankCommand:
         assert main(["pagerank", str(path), "--alpha", "0.5"]) == 0
         assert capsys.readouterr().out == "label,score,rank\na,0.5,1.5\nb,0.5,1.5\n"
 
+    @pytest.mark.parametrize(
+        "text, problem",
+        [
+            ("a,a\n0,1\n1,0\n", "header repeats label 'a'"),
+            ("a,b,c\n0,1\n1,0\n", "header has 3 labels for 2 columns"),
+        ],
+    )
+    def test_bad_header_names_file_and_line(self, tmp_path, capsys, text, problem):
+        path = tmp_path / "h.csv"
+        path.write_text(text)
+        assert main(["pagerank", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {path}, line 1: {problem}\n"
+
+    @pytest.mark.parametrize(
+        "command",
+        [["pagerank"], ["markovrank"], ["pagerank", "--method", "power"], ["sweep"]],
+    )
+    def test_overflowing_weights_exit_one_without_warning(self, tmp_path, capsys, command):
+        # a numpy RuntimeWarning would fail this test (pytest filterwarnings)
+        path = tmp_path / "big.csv"
+        path.write_text("a,b\n1e308,1e308\n0,1\n")
+        assert main([command[0], str(path), *command[1:]]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: adjacency weights overflow: their total exceeds the float64 range\n"
+        )
+
     def test_deterministic_output(self, six_node_file, capsys):
         main(["pagerank", six_node_file])
         first = capsys.readouterr().out
@@ -211,6 +239,15 @@ class TestCompareCommand:
         path.write_text("\ufefflabel,score\na,0.25\nb,0.75\n", encoding="utf-8")
         assert main(["compare", str(path), str(path)]) == 0
         assert "identical: true" in capsys.readouterr().out
+
+    def test_repeated_label_names_both_lines(self, tmp_path, capsys):
+        good = tmp_path / "a.csv"
+        good.write_text("label,score\na,0.5\nb,0.5\n")
+        dup = tmp_path / "d.csv"
+        dup.write_text("label,score\na,0.5\nb,0.25\na,0.25\nc,x\n")
+        assert main(["compare", str(good), str(dup)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {dup}, line 4: repeats label 'a' (first on line 2)\n"
 
     def test_row_without_label_exits_one(self, tmp_path, capsys):
         path = tmp_path / "a.csv"

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,14 +17,16 @@ from netrank import (
     augment_adjacency,
     damped_transition,
     eigenvalue_one_space,
+    gen_er,
     markovrank,
     pagerank,
     patch_zero_rows,
     stationary_power,
     transition_from_augmented,
     transition_from_patched,
+    transition_generalized_inverse,
 )
-from netrank.eigenrank import PIVOT_TOL, EigenSpace, _normalize_scores
+from netrank.eigenrank import PIVOT_TOL, EigenSpace, _hub_alpha, _normalize_scores
 
 import golden
 
@@ -366,6 +370,64 @@ def test_power_method_default_tolerance_is_tight():
     scores = pagerank(golden.FOUR_NODE, 0.85, method="power")
     assert np.abs(scores.values - golden.FOUR_NODE_PAGERANK[0.85]).max() <= 1e-7
     assert scores.iterations is not None
+
+
+def damped_chain_ranking(adj, alpha, method, cfg):
+    """pagerank through the public chain constructors, one n x n copy each.
+
+    The oracle for pagerank's chain, built and damped in a single array.
+    """
+    chain = damped_transition(transition_generalized_inverse(adj), alpha)
+    if method == "power":
+        return stationary_power(chain, cfg, labels=adj.labels)
+    space = eigenvalue_one_space(chain)
+    if space.multiplicity != 1:
+        raise MultiplicityError(space.multiplicity)
+    return _normalize_scores(space.vector, adj.labels)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.85, 0.99, 1.0])
+@pytest.mark.parametrize("method", ["exact", "power"])
+@pytest.mark.parametrize("seed", range(5))
+def test_pagerank_matches_public_constructors_bitwise(seed, method, alpha):
+    # weighted networks with zero rows, which the generalized inverse sends uniform
+    rng = np.random.default_rng(seed)
+    n = 24
+    entries = rng.random((n, n)) * (rng.random((n, n)) < 0.25)
+    entries[rng.random(n) < 0.25] = 0.0
+    adj = AdjacencyMatrix.from_entries(entries)
+    cfg = PowerIterConfig(tolerance=1e-15, max_iterations=5000)
+    expected = damped_chain_ranking(adj, alpha, method, cfg)
+    got = pagerank(adj, alpha, method, cfg)
+    np.testing.assert_array_equal(got.values, expected.values)
+    assert got.iterations == expected.iterations
+
+
+def test_power_pagerank_holds_one_chain():
+    # the damped chain is built in place: no undamped n x n chain beside it
+    adj = gen_er(400, 0.05, 3)
+    tracemalloc.start()
+    try:
+        pagerank(adj, 0.85, method="power")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * adj.entries.nbytes
+
+
+@pytest.mark.parametrize("name", PARITY_GOLDEN)
+def test_hub_alpha_is_the_doubled_formula(name):
+    # S / (S + eps/2) rounds as 2S / (2S + eps) wherever 2S does not overflow
+    adj = getattr(golden, name)
+    S = patch_zero_rows(adj).entries.sum()
+    for eps in PARITY_EPSILONS + [5e-324, 0.3]:
+        assert _hub_alpha(adj, eps) == 2 * S / (2 * S + eps)
+
+
+def test_markovrank_total_weight_near_float_max():
+    # 2S overflows although S does not; alpha rounds to 1 on this 2-cycle
+    adj = AdjacencyMatrix.from_entries([[0.0, 8e307], [8e307, 0.0]])
+    np.testing.assert_array_equal(markovrank(adj, 1.0).values, [0.5, 0.5])
 
 
 def _column_stochastic(entries):

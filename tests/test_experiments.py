@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -235,29 +236,29 @@ class TestInvarianceSweep:
         from netrank import experiments
 
         alphas = []
-        damp = experiments.damped_transition
+        rank = experiments.pagerank
 
-        def counting_damp(chain, alpha):
+        def counting_pagerank(adj, alpha):
             alphas.append(alpha)
-            return damp(chain, alpha)
+            return rank(adj, alpha)
 
-        monkeypatch.setattr(experiments, "damped_transition", counting_damp)
+        monkeypatch.setattr(experiments, "pagerank", counting_pagerank)
         invariance_sweep(getattr(golden, name))
         assert len(alphas) == len(set(alphas)) == 8
 
-    def test_one_patch_and_build_per_sweep(self, monkeypatch):
-        from netrank import experiments
+    def test_sweep_peak_is_one_exact_solve(self):
+        # each grid point is ranked alone: no chain is held across solves
+        adj = gen_er(400, 0.05, 3)
 
-        builds = []
-        build = experiments.transition_generalized_inverse
+        def peak(run):
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
 
-        def counting_build(adj):
-            builds.append(adj)
-            return build(adj)
-
-        monkeypatch.setattr(experiments, "transition_generalized_inverse", counting_build)
-        invariance_sweep(golden.EX_B)
-        assert len(builds) == 1
+        assert peak(lambda: invariance_sweep(adj)) < 1.1 * peak(lambda: pagerank(adj, 0.85))
 
 
 class TestSweepSerialization:

@@ -26,6 +26,29 @@ class TestAdjacencyMatrix:
         with pytest.raises(ValueError, match="non-negative"):
             AdjacencyMatrix.from_entries([[0, -1], [0, 0]])
 
+    @pytest.mark.parametrize(
+        "entries", [[[1e308, 1e308], [0, 1]], [[1e308, 0], [1e308, 0]], [[1.7e308] * 3] * 3]
+    )
+    def test_rejects_overflowing_total(self, entries):
+        with pytest.raises(ValueError) as info:
+            AdjacencyMatrix.from_entries(entries)
+        assert str(info.value) == (
+            "adjacency weights overflow: their total exceeds the float64 range"
+        )
+
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            ([[np.nan, 1e308], [1e308, 0]], "adjacency entries must be finite"),
+            ([[np.inf, -1], [0, 0]], "adjacency entries must be finite"),
+            ([[1e308, 1e308], [-1, 0]], "adjacency entries must be non-negative"),
+        ],
+    )
+    def test_overflow_check_keeps_entry_messages(self, entries, message):
+        with pytest.raises(ValueError) as info:
+            AdjacencyMatrix.from_entries(entries)
+        assert str(info.value) == message
+
     def test_rejects_duplicate_labels(self):
         with pytest.raises(ValueError, match="distinct"):
             AdjacencyMatrix(np.zeros((2, 2)), ("a", "a"))
@@ -237,6 +260,26 @@ class TestLoadDenseMatrix:
     def test_first_bad_token_is_named(self):
         with pytest.raises(ValueError, match="non-numeric entry 'p'"):
             load_dense_matrix("0,1,0\n0,p,q\nr,0,0")
+
+    @pytest.mark.parametrize(
+        "text, problem",
+        [
+            ("a,a\n0,1\n1,0", "line 1: header repeats label 'a'"),
+            ("a,b,c\n0,1\n1,0", "line 1: header has 3 labels for 2 columns"),
+            ("\n  \nb a b\n0 1 0\n1 0 1\n0 1 0", "line 3: header repeats label 'b'"),
+        ],
+    )
+    def test_bad_header_names_its_line(self, text, problem):
+        with pytest.raises(ValueError) as info:
+            load_dense_matrix(text)
+        assert str(info.value) == f"dense matrix input, {problem}"
+
+    def test_bad_header_names_the_file(self, tmp_path):
+        path = tmp_path / "h.csv"
+        path.write_text("\ufeffx,y,x\n0,1,0\n1,0,1\n0,1,0\n", encoding="utf-8")
+        with pytest.raises(ValueError) as info:
+            read_dense_csv(path)
+        assert str(info.value) == f"{path}, line 1: header repeats label 'x'"
 
     def test_header_without_data_rows(self):
         with pytest.raises(ValueError) as info:
