@@ -8,7 +8,7 @@ is blocked like LAPACK's getrf (column-by-column pivoting inside 32-column
 panels, one triangular solve and one matrix product per panel for the other
 columns), with the pivot rule of the plain column-by-column elimination.
 The power method iterates x_k = M x_{k-1} to the same fixed point on
-regular chains.
+regular chains; rankings apply the damped M from the adjacency's edges.
 
 markovrank is not solved on the (n+1)-state augmented chain: eliminating its
 hub state (stochastic complementation, Meyer, SIAM Review 31(2), 1989) shows
@@ -19,12 +19,12 @@ of the patched adjacency.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .graph_core import AdjacencyMatrix, _adopt, _frozen, default_labels
-from .chain_builder import TransitionMatrix, _damp, _generalized_inverse
+from .chain_builder import TransitionMatrix, _damp, _damped_operator, _generalized_inverse
 
 # Scores at or below this (including any negative score) mark a result as
 # numerically degenerate: the chain was solved at an unstable parameter.
@@ -116,7 +116,7 @@ class PowerIterConfig:
     initial: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if self.tolerance <= 0:
+        if not self.tolerance > 0:  # NaN too
             raise ValueError("tolerance must be positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
@@ -205,7 +205,21 @@ def stationary_power(
     Raises NonConvergenceError (carrying the last iterate) if max_iterations
     is exhausted, as happens on periodic non-regular chains.
     """
-    m = matrix.m
+    return _iterate(matrix.entries.__matmul__, matrix.m, cfg, labels)
+
+
+def _iterate(
+    step: Callable[[np.ndarray], np.ndarray],
+    m: int,
+    cfg: PowerIterConfig,
+    labels: Optional[Sequence[str]],
+) -> ScoreVector:
+    """Iterate x_k = step(x_{k-1}) on m states from cfg.initial (uniform if None).
+
+    The loop of stationary_power and of power rankings: it stops when the
+    max-abs successive difference reaches cfg.tolerance and raises
+    NonConvergenceError after cfg.max_iterations steps.
+    """
     if cfg.initial is None:
         x = np.full(m, 1.0 / m)
     else:
@@ -214,9 +228,8 @@ def stationary_power(
             raise ValueError(f"initial vector has shape {x.shape}, chain has {m} states")
         if abs(x.sum() - 1.0) > SCORE_SUM_TOL:
             raise ValueError("initial vector must sum to 1")
-    M = matrix.entries
     for k in range(1, cfg.max_iterations + 1):
-        x_next = M @ x
+        x_next = step(x)
         diff = np.abs(x_next - x).max()
         x = x_next
         if diff <= cfg.tolerance:
@@ -244,16 +257,18 @@ def pagerank(
     The column-stochastic chain is built by the generalized inverse (zero
     rows go uniform, as if patched to all-ones), damped by alpha toward
     uniform, and the scores are the normalized fixed-point vector of the
-    damped chain.  The chain is built and damped in one n x n array.
+    damped chain.
 
-    method="exact" solves the eigenvalue-1 problem directly and raises
-    MultiplicityError when the eigenspace is not one-dimensional, which can
-    happen only at alpha = 1 or within the pivot tolerance of it.
-    method="power" iterates to the fixed point (default tolerance 1e-15)
-    and raises NonConvergenceError on periodic chains.
+    method="exact" builds and damps the chain in one n x n array and solves
+    the eigenvalue-1 problem directly; it raises MultiplicityError when the
+    eigenspace is not one-dimensional, which can happen only at alpha = 1 or
+    within the pivot tolerance of it.  method="power" builds no n x n array:
+    it applies the damped chain from the adjacency's edges, with zero rows
+    as a rank-one dangling term, and iterates to the fixed point (default
+    tolerance 1e-15); it raises NonConvergenceError on periodic chains.
     """
-    chain = TransitionMatrix(_adopt(_damp(_generalized_inverse(adj), alpha)))
     if method == "exact":
+        chain = TransitionMatrix(_adopt(_damp(_generalized_inverse(adj), alpha)))
         space = eigenvalue_one_space(chain)
         if space.multiplicity != 1:
             raise MultiplicityError(space.multiplicity)
@@ -261,7 +276,7 @@ def pagerank(
     if method == "power":
         # high-accuracy default for the ranking entry points
         cfg = cfg if cfg is not None else PowerIterConfig(tolerance=1e-15)
-        return stationary_power(chain, cfg, labels=adj.labels)
+        return _iterate(_damped_operator(adj, alpha), adj.n, cfg, adj.labels)
     raise ValueError(f"method must be 'exact' or 'power', got {method!r}")
 
 

@@ -56,7 +56,7 @@ class AdjacencyMatrix:
             finite_total = np.isfinite(e.sum())
         if not finite_total and not np.isfinite(e).all():
             raise ValueError("adjacency entries must be finite")
-        if (e < 0).any():
+        if e.min() < 0:  # no n x n bool array
             raise ValueError("adjacency entries must be non-negative")
         if not finite_total:
             raise ValueError("adjacency weights overflow: their total exceeds the float64 range")
@@ -125,6 +125,11 @@ def _split_row(line: str) -> list[str]:
     return next(csv.reader([line])) if "," in line else line.split()
 
 
+def _lines(text: str) -> list[str]:
+    r"""Split at \n, \r\n and \r only, not at str.splitlines()'s \x0b, \x1c, \x85, ..."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
 def load_dense_matrix(text: str) -> AdjacencyMatrix:
     """Parse a dense adjacency grid (comma- or whitespace-separated rows).
 
@@ -138,7 +143,7 @@ def load_dense_matrix(text: str) -> AdjacencyMatrix:
 
 def _load_dense(text: str, source: str) -> AdjacencyMatrix:
     """load_dense_matrix, naming `source` in header errors."""
-    rows = [_split_row(line) for line in text.splitlines() if line.strip()]
+    rows = [_split_row(line) for line in _lines(text) if line.strip()]
     if not rows:
         raise ValueError("empty dense matrix input")
     header = None
@@ -159,7 +164,7 @@ def _load_dense(text: str, source: str) -> AdjacencyMatrix:
     labels = tuple(header) if header is not None else default_labels(entries.shape[0])
     if len(labels) != entries.shape[1] or len(set(labels)) != len(labels):
         # the header is the first non-blank line
-        line = next(i for i, l in enumerate(text.splitlines(), 1) if l.strip())
+        line = next(i for i, l in enumerate(_lines(text), 1) if l.strip())
         where = f"{source}, line {line}: header"
         if len(labels) != entries.shape[1]:
             raise ValueError(f"{where} has {len(labels)} labels for {entries.shape[1]} columns")
@@ -196,22 +201,30 @@ def read_edge_list_csv(
     rejected with its line number.
     """
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise ValueError(f"{path}: empty edge-list file")
-        missing = {follower_col, followed_col} - set(reader.fieldnames)
+        missing = {follower_col, followed_col} - set(header)
         if missing:
             raise ValueError(f"{path}: missing edge-list columns {sorted(missing)}")
+        # a repeated column name means its last occurrence, as in csv.DictReader
+        column = {name: i for i, name in enumerate(header)}
+        a, b = column[follower_col], column[followed_col]
+        reach = max(a, b)
         edges = []
         for row in reader:
-            for col in (follower_col, followed_col):
-                _check_field(row[col], f"{path}, line {reader.line_num}: edge row", col)
-            edges.append((row[follower_col], row[followed_col]))
+            if len(row) > reach and row[a] and row[b]:
+                edges.append((row[a], row[b]))
+            elif row:  # blank rows are skipped
+                for col, i in ((follower_col, a), (followed_col, b)):
+                    value = row[i] if i < len(row) else None
+                    _check_field(value, f"{path}, line {reader.line_num}: edge row", col)
         return edges
 
 
 def _check_field(value: Optional[str], where: str, col: str) -> None:
-    """Reject a DictReader field that the row is too short to reach, or that is empty."""
+    """Reject a field that the row is too short to reach (None), or that is empty."""
     if value is None:
         raise ValueError(f"{where} has no {col!r} column")
     if not value:

@@ -35,6 +35,12 @@ class TestTransitionMatrixType:
         with pytest.raises(ValueError, match="non-negative"):
             TransitionMatrix(np.array([[1.5, 0.0], [-0.5, 1.0]]))
 
+    @pytest.mark.parametrize("bad, problem", [(np.nan, "non-negative"), (np.inf, "sum to 1")])
+    def test_rejects_non_finite(self, bad, problem):
+        # NaN compares false both ways, so a `> tol` or `< 0` test lets it through
+        with pytest.raises(ValueError, match=problem):
+            TransitionMatrix(np.array([[bad, 0.5], [1.0, 0.5]]))
+
     def test_accepts_chain_3(self):
         assert golden.CHAIN_3.m == 3
 

@@ -113,6 +113,21 @@ class TestPagerankCommand:
         assert main(["pagerank", str(path)]) == 1
         assert capsys.readouterr().err == f"error: {path}, line 1: {problem}\n"
 
+    def test_nan_tolerance_exits_one_at_once(self, four_node_file, capsys):
+        argv = ["pagerank", four_node_file, "--method", "power", "--tol", "nan"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: tolerance must be positive\n"
+
+    def test_rows_end_only_at_line_breaks(self, tmp_path, capsys):
+        # str.splitlines() would read this one line as the rows 0,1 and 1,0
+        path = tmp_path / "fs.csv"
+        path.write_text("0,1\x1c1,0\n")
+        assert main(["pagerank", str(path)]) == 1
+        # one non-numeric row: a header with no data rows
+        assert capsys.readouterr().err == (
+            "error: dense matrix input has a header but no data rows\n"
+        )
+
     @pytest.mark.parametrize(
         "command",
         [["pagerank"], ["markovrank"], ["pagerank", "--method", "power"], ["sweep"]],

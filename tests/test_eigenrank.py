@@ -151,6 +151,11 @@ class TestStationaryPower:
                 golden.CHAIN_3, PowerIterConfig(initial=np.array([1.0, 1.0, 1.0]))
             )
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-6, np.nan])
+    def test_non_positive_tolerance_rejected(self, tol):
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            PowerIterConfig(tolerance=tol)
+
     def test_labels_attached(self):
         scores = stationary_power(golden.CHAIN_3, labels=("x", "y", "z"))
         assert scores.labels == ("x", "y", "z")
@@ -375,7 +380,8 @@ def test_power_method_default_tolerance_is_tight():
 def damped_chain_ranking(adj, alpha, method, cfg):
     """pagerank through the public chain constructors, one n x n copy each.
 
-    The oracle for pagerank's chain, built and damped in a single array.
+    The oracle for pagerank: exact builds and damps the chain in a single
+    array, power applies it from the adjacency's edges.
     """
     chain = damped_transition(transition_generalized_inverse(adj), alpha)
     if method == "power":
@@ -386,25 +392,53 @@ def damped_chain_ranking(adj, alpha, method, cfg):
     return _normalize_scores(space.vector, adj.labels)
 
 
+def seeded_weighted_network(seed, n=24):
+    """Weighted network with zero rows, which the generalized inverse sends uniform."""
+    rng = np.random.default_rng(seed)
+    entries = rng.random((n, n)) * (rng.random((n, n)) < 0.25)
+    entries[rng.random(n) < 0.25] = 0.0
+    return AdjacencyMatrix.from_entries(entries)
+
+
+def power_cfgs(n, seed):
+    """The uniform start and a seeded non-uniform one."""
+    initial = np.random.default_rng(seed + 100).random(n)
+    return [
+        PowerIterConfig(tolerance=1e-15, max_iterations=5000, initial=start)
+        for start in (None, initial / initial.sum())
+    ]
+
+
+def assert_matches_dense_chain(got, expected, method):
+    # exact solves the same array; power sums the same terms in another order
+    if method == "exact":
+        np.testing.assert_array_equal(got.values, expected.values)
+    else:
+        assert np.abs(got.values - expected.values).max() <= 1e-12
+    assert got.iterations == expected.iterations
+
+
 @pytest.mark.parametrize("alpha", [0.5, 0.85, 0.99, 1.0])
 @pytest.mark.parametrize("method", ["exact", "power"])
 @pytest.mark.parametrize("seed", range(5))
 def test_pagerank_matches_public_constructors_bitwise(seed, method, alpha):
-    # weighted networks with zero rows, which the generalized inverse sends uniform
-    rng = np.random.default_rng(seed)
-    n = 24
-    entries = rng.random((n, n)) * (rng.random((n, n)) < 0.25)
-    entries[rng.random(n) < 0.25] = 0.0
-    adj = AdjacencyMatrix.from_entries(entries)
-    cfg = PowerIterConfig(tolerance=1e-15, max_iterations=5000)
-    expected = damped_chain_ranking(adj, alpha, method, cfg)
-    got = pagerank(adj, alpha, method, cfg)
-    np.testing.assert_array_equal(got.values, expected.values)
-    assert got.iterations == expected.iterations
+    adj = seeded_weighted_network(seed)
+    for cfg in power_cfgs(adj.n, seed):
+        expected = damped_chain_ranking(adj, alpha, method, cfg)
+        assert_matches_dense_chain(pagerank(adj, alpha, method, cfg), expected, method)
 
 
-def test_power_pagerank_holds_one_chain():
-    # the damped chain is built in place: no undamped n x n chain beside it
+@pytest.mark.parametrize("eps", [0.0, 1e-3, 0.1, 1.0])
+@pytest.mark.parametrize("seed", range(5))
+def test_power_markovrank_matches_dense_chain(seed, eps):
+    adj = seeded_weighted_network(seed)
+    for cfg in power_cfgs(adj.n, seed):
+        expected = damped_chain_ranking(adj, _hub_alpha(adj, eps), "power", cfg)
+        assert_matches_dense_chain(markovrank(adj, eps, "power", cfg), expected, "power")
+
+
+def test_power_pagerank_builds_no_chain():
+    # the damped chain is applied from the edges: no n x n array at all
     adj = gen_er(400, 0.05, 3)
     tracemalloc.start()
     try:
@@ -412,7 +446,7 @@ def test_power_pagerank_holds_one_chain():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * adj.entries.nbytes
+    assert peak < 0.5 * adj.entries.nbytes
 
 
 @pytest.mark.parametrize("name", PARITY_GOLDEN)

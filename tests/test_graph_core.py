@@ -267,6 +267,8 @@ class TestLoadDenseMatrix:
             ("a,a\n0,1\n1,0", "line 1: header repeats label 'a'"),
             ("a,b,c\n0,1\n1,0", "line 1: header has 3 labels for 2 columns"),
             ("\n  \nb a b\n0 1 0\n1 0 1\n0 1 0", "line 3: header repeats label 'b'"),
+            # \x0c and \x85 end no line: the header is on line 2
+            ("\x0c\x85\r\nx,x\n0,1\n1,0", "line 2: header repeats label 'x'"),
         ],
     )
     def test_bad_header_names_its_line(self, text, problem):
@@ -418,6 +420,15 @@ class TestCsvReaders:
         f = tmp_path / "edges.csv"
         f.write_text("src,dst\na,b\n")
         assert read_edge_list_csv(f, "src", "dst") == [("a", "b")]
+
+    def test_edge_list_repeated_column_is_its_last(self, tmp_path):
+        f = tmp_path / "edges.csv"
+        f.write_text("following,followed,following\na,b,c\n\nd,e,f\n")
+        assert read_edge_list_csv(f) == [("c", "b"), ("f", "e")]
+        f.write_text("following,followed,following\na,b\n")
+        with pytest.raises(ValueError) as info:
+            read_edge_list_csv(f)
+        assert str(info.value) == f"{f}, line 2: edge row has no 'following' column"
 
     @pytest.mark.parametrize(
         "text, line, col",
