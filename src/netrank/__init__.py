@@ -16,7 +16,6 @@ from .graph_core import (
     read_roster_csv,
 )
 from .chain_builder import (
-    AugmentedAdjacency,
     RegularityResult,
     TransitionMatrix,
     augment_adjacency,
@@ -58,7 +57,6 @@ from .experiments import (
 
 __all__ = [
     "AdjacencyMatrix",
-    "AugmentedAdjacency",
     "BlockSpec",
     "DegenerateVectorError",
     "EigenSpace",

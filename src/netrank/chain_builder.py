@@ -12,7 +12,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .graph_core import AdjacencyMatrix, _adopt, _frozen
+from .graph_core import AdjacencyMatrix, _adopt, _frozen, default_labels
 
 COLUMN_SUM_TOL = 1e-12
 
@@ -41,26 +41,6 @@ class TransitionMatrix:
         return self.entries.shape[0]
 
 
-@dataclass(frozen=True, eq=False)
-class AugmentedAdjacency:
-    """(n+1) x (n+1) adjacency extending a patched base with a hub node.
-
-    The hub's incoming weights are (eps/2) * rowsum_i / totalsum of the base;
-    its outgoing row is (1, ..., 1, 0).
-    """
-
-    base: AdjacencyMatrix
-    epsilon: float
-    entries: np.ndarray
-
-    def __post_init__(self):
-        n = self.base.n
-        e = _frozen(self.entries)
-        if e.shape != (n + 1, n + 1):
-            raise ValueError(f"augmented matrix must be {(n + 1, n + 1)}, got {e.shape}")
-        object.__setattr__(self, "entries", e)
-
-
 def transition_from_patched(patched: AdjacencyMatrix) -> TransitionMatrix:
     """Transpose of the patched adjacency with each row scaled by its sum.
 
@@ -82,15 +62,16 @@ def transition_generalized_inverse(adj: AdjacencyMatrix) -> TransitionMatrix:
     Columns are divided by their out-degree, not multiplied by its
     reciprocal, so the result equals the patched route bit for bit.
     """
-    return TransitionMatrix(_adopt(_generalized_inverse(adj)))
+    # the layout of A^T fixes the rounding of M @ x in stationary_power
+    return TransitionMatrix(_adopt(_generalized_inverse(adj, np.empty_like(adj.entries.T))))
 
 
-def _generalized_inverse(adj: AdjacencyMatrix) -> np.ndarray:
-    """Fresh writable entries of transition_generalized_inverse(adj)."""
+def _generalized_inverse(adj: AdjacencyMatrix, out: np.ndarray) -> np.ndarray:
+    """Write the entries of transition_generalized_inverse(adj) into `out`, n x n."""
     deg = adj.entries.sum(axis=1)
-    entries = adj.entries.T / np.where(deg > 0, deg, 1.0)
-    entries[:, deg == 0] = 1.0 / adj.n
-    return entries
+    np.divide(adj.entries.T, np.where(deg > 0, deg, 1.0), out=out)
+    out[:, deg == 0] = 1.0 / adj.n
+    return out
 
 
 def damped_transition(base: TransitionMatrix, alpha: float) -> TransitionMatrix:
@@ -110,6 +91,11 @@ def _damp(entries: np.ndarray, alpha: float) -> np.ndarray:
 def _check_alpha(alpha: float) -> None:
     if not 0 < alpha <= 1:
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
+
+
+def _check_epsilon(epsilon: float) -> None:
+    if not 0 <= epsilon <= 1:
+        raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
 
 
 def _damped_operator(adj: AdjacencyMatrix, alpha: float) -> Callable[[np.ndarray], np.ndarray]:
@@ -139,10 +125,14 @@ def _damped_operator(adj: AdjacencyMatrix, alpha: float) -> Callable[[np.ndarray
     return step
 
 
-def augment_adjacency(patched: AdjacencyMatrix, epsilon: float) -> AugmentedAdjacency:
-    """Attach the hub node to a patched adjacency with mixing weight epsilon."""
-    if not 0 <= epsilon <= 1:
-        raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
+def augment_adjacency(patched: AdjacencyMatrix, epsilon: float) -> AdjacencyMatrix:
+    """Attach the hub node to a patched adjacency with mixing weight epsilon.
+
+    The result is the paper's (n+1)-node adjacency, labelled "1".."n+1" with
+    the hub last: the hub's incoming weights are (eps/2) * rowsum_i / totalsum
+    of the base, its outgoing row is (1, ..., 1, 0).
+    """
+    _check_epsilon(epsilon)
     rowsums = patched.entries.sum(axis=1)
     if (rowsums == 0).any():
         raise ValueError("augmenting requires strictly positive row sums; patch first")
@@ -151,15 +141,12 @@ def augment_adjacency(patched: AdjacencyMatrix, epsilon: float) -> AugmentedAdja
     entries[:n, :n] = patched.entries
     entries[:n, n] = 0.5 * epsilon * rowsums / rowsums.sum()
     entries[n, :n] = 1.0
-    return AugmentedAdjacency(patched, float(epsilon), _adopt(entries))
+    return AdjacencyMatrix(_adopt(entries), default_labels(n + 1))
 
 
-def transition_from_augmented(augmented: AugmentedAdjacency) -> TransitionMatrix:
+def transition_from_augmented(augmented: AdjacencyMatrix) -> TransitionMatrix:
     """Column-stochastic chain on the n+1 nodes of an augmented adjacency."""
-    rowsums = augmented.entries.sum(axis=1)
-    if (rowsums <= 0).any():
-        raise ValueError("augmented matrix has a zero row sum")
-    return TransitionMatrix(_adopt(augmented.entries.T / rowsums))
+    return transition_from_patched(augmented)
 
 
 @dataclass(frozen=True)

@@ -98,6 +98,8 @@ def _read_score_csv(path) -> tuple[list[str], list[float]]:
                 raise ValueError(
                     f"{where}: missing or non-numeric score {row['score']!r}"
                 ) from None
+            if not np.isfinite(scores[-1]):
+                raise ValueError(f"{where}: non-finite score {row['score']!r}")
             if label in first_line:
                 raise ValueError(
                     f"{where}: repeats label {label!r} (first on line {first_line[label]})"

@@ -6,8 +6,9 @@ threshold; because eigenvalue 1 of a stochastic matrix is semisimple, the
 null-space dimension equals the eigenvalue's multiplicity.  The elimination
 is blocked like LAPACK's getrf (column-by-column pivoting inside 32-column
 panels, one triangular solve and one matrix product per panel for the other
-columns), with the pivot rule of the plain column-by-column elimination.
-The power method iterates x_k = M x_{k-1} to the same fixed point on
+columns), with the pivot rule of the plain column-by-column elimination;
+exact rankings eliminate in the one n x n array where they build the damped
+chain.  The power method iterates x_k = M x_{k-1} to the same fixed point on
 regular chains; rankings apply the damped M from the adjacency's edges.
 
 markovrank is not solved on the (n+1)-state augmented chain: eliminating its
@@ -23,8 +24,9 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .graph_core import AdjacencyMatrix, _adopt, _frozen, default_labels
-from .chain_builder import TransitionMatrix, _damp, _damped_operator, _generalized_inverse
+from .graph_core import AdjacencyMatrix, _frozen, default_labels
+from .chain_builder import (TransitionMatrix, _check_epsilon, _damp, _damped_operator,
+                            _generalized_inverse)
 
 # Scores at or below this (including any negative score) mark a result as
 # numerically degenerate: the chain was solved at an unstable parameter.
@@ -145,9 +147,16 @@ def eigenvalue_one_space(matrix: TransitionMatrix) -> EigenSpace:
     pivot rule, and with it the nullity and every MultiplicityError, is that
     of the unblocked column-by-column elimination.
     """
-    m = matrix.m
+    return _eliminate(matrix.entries.copy())
+
+
+def _eliminate(U: np.ndarray) -> EigenSpace:
+    """eigenvalue_one_space in U, a fresh m x m chain array that it overwrites.
+
+    U is C-ordered like eigenvalue_one_space's copy: the layout rounds the back-substitution.
+    """
+    m = U.shape[0]
     threshold = PIVOT_TOL * m
-    U = matrix.entries.copy()
     np.fill_diagonal(U, U.diagonal() - 1.0)  # M - I without an m x m identity
     L = np.empty((m, _PANEL))  # multipliers of the current panel, by pivot
     pivot_rows: list[tuple[int, int]] = []
@@ -259,8 +268,8 @@ def pagerank(
     uniform, and the scores are the normalized fixed-point vector of the
     damped chain.
 
-    method="exact" builds and damps the chain in one n x n array and solves
-    the eigenvalue-1 problem directly; it raises MultiplicityError when the
+    method="exact" builds and damps the chain in one n x n array and
+    eliminates in it, with no copy; it raises MultiplicityError when the
     eigenspace is not one-dimensional, which can happen only at alpha = 1 or
     within the pivot tolerance of it.  method="power" builds no n x n array:
     it applies the damped chain from the adjacency's edges, with zero rows
@@ -268,8 +277,8 @@ def pagerank(
     tolerance 1e-15); it raises NonConvergenceError on periodic chains.
     """
     if method == "exact":
-        chain = TransitionMatrix(_adopt(_damp(_generalized_inverse(adj), alpha)))
-        space = eigenvalue_one_space(chain)
+        chain = _generalized_inverse(adj, np.empty((adj.n, adj.n)))
+        space = _eliminate(_damp(chain, alpha))
         if space.multiplicity != 1:
             raise MultiplicityError(space.multiplicity)
         return _normalize_scores(space.vector, adj.labels)
@@ -285,8 +294,7 @@ def _hub_alpha(adj: AdjacencyMatrix, epsilon: float) -> float:
 
     Each zero row patches to n ones, so S comes from the out-degrees alone.
     """
-    if not 0 <= epsilon <= 1:
-        raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
+    _check_epsilon(epsilon)
     out = adj.entries.sum(axis=1)
     total = out.sum() + adj.n * np.count_nonzero(out == 0)
     # 2S / (2S + eps) without the doubling, which could overflow

@@ -134,40 +134,42 @@ def load_dense_matrix(text: str) -> AdjacencyMatrix:
     """Parse a dense adjacency grid (comma- or whitespace-separated rows).
 
     A non-numeric first row is taken as a header and its tokens become the
-    node labels; a header of the wrong width or with a repeated label is
-    rejected with its line number.  Default labels are "1".."n".
+    node labels (default "1".."n").  A bad header, a ragged or non-square
+    grid and a non-numeric entry are rejected with their line number.
     Numbers are whatever float() accepts; numpy converts the grid in one pass.
     """
     return _load_dense(text, "dense matrix input")
 
 
 def _load_dense(text: str, source: str) -> AdjacencyMatrix:
-    """load_dense_matrix, naming `source` in header errors."""
-    rows = [_split_row(line) for line in _lines(text) if line.strip()]
+    """load_dense_matrix, naming `source` and the line in its errors."""
+    numbered = [(i, _split_row(line)) for i, line in enumerate(_lines(text), 1) if line.strip()]
+    at, rows = [i for i, _ in numbered], [row for _, row in numbered]  # rows[k] is on line at[k]
     if not rows:
-        raise ValueError("empty dense matrix input")
+        raise ValueError(f"{source}: empty dense matrix")
     header = None
     if not all(map(_is_number, rows[0])):
-        header = [t.strip() for t in rows.pop(0)]
+        header, header_line = [t.strip() for t in rows.pop(0)], at.pop(0)
         if not rows:
-            raise ValueError("dense matrix input has a header but no data rows")
-    widths = {len(r) for r in rows}
-    if len(widths) != 1:
-        raise ValueError(f"ragged dense matrix: row widths {sorted(widths)}")
+            raise ValueError(f"{source}, line {header_line}: header has no data rows")
+    k = next((k for k, r in enumerate(rows) if len(r) != len(rows[0])), None)
+    if k is not None:
+        widths = f"width {len(rows[k])}, where line {at[0]} has width {len(rows[0])}"
+        raise ValueError(f"{source}, line {at[k]}: ragged row of {widths}")
     try:
         entries = np.array(rows, dtype=float)
     except ValueError:
-        bad = next(t for r in rows for t in r if not _is_number(t))
-        raise ValueError(f"non-numeric entry {bad.strip()!r} in dense matrix") from None
-    if entries.shape[0] != entries.shape[1]:
-        raise ValueError(f"dense matrix must be square, got {entries.shape[0]}x{entries.shape[1]}")
-    labels = tuple(header) if header is not None else default_labels(entries.shape[0])
-    if len(labels) != entries.shape[1] or len(set(labels)) != len(labels):
-        # the header is the first non-blank line
-        line = next(i for i, l in enumerate(_lines(text), 1) if l.strip())
-        where = f"{source}, line {line}: header"
-        if len(labels) != entries.shape[1]:
-            raise ValueError(f"{where} has {len(labels)} labels for {entries.shape[1]} columns")
+        k, bad = next((k, t) for k, r in enumerate(rows) for t in r if not _is_number(t))
+        raise ValueError(f"{source}, line {at[k]}: non-numeric entry {bad.strip()!r}") from None
+    r, c = entries.shape
+    if r != c:  # name the first row past a square, or the first row of a wide grid
+        line = at[c] if r > c else at[0]
+        raise ValueError(f"{source}, line {line}: dense matrix must be square, got {r}x{c}")
+    labels = tuple(header) if header is not None else default_labels(r)
+    if len(labels) != c or len(set(labels)) != len(labels):
+        where = f"{source}, line {header_line}: header"
+        if len(labels) != c:
+            raise ValueError(f"{where} has {len(labels)} labels for {c} columns")
         repeat = next(l for i, l in enumerate(labels) if l in labels[:i])
         raise ValueError(f"{where} repeats label {repeat!r}")
     return AdjacencyMatrix(_adopt(entries), labels)

@@ -80,6 +80,16 @@ class TestTransitionGeneralizedInverse:
         M = transition_generalized_inverse(adj)
         np.testing.assert_allclose(M.entries, np.full((3, 3), 1 / 3), atol=1e-15)
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_keeps_the_layout_of_the_transpose(self, order):
+        # the layout decides the summation order of M @ x in power iteration
+        base = gen_er(30, 0.2, 4)
+        adj = AdjacencyMatrix(np.asarray(base.entries, order=order), base.labels)
+        assert adj.entries.flags[f"{order}_CONTIGUOUS"]
+        M = transition_generalized_inverse(adj).entries
+        assert M.flags.c_contiguous == adj.entries.T.flags.c_contiguous
+        assert M.flags.f_contiguous == adj.entries.T.flags.f_contiguous
+
 
 def random_adjacency(seed, max_n=30):
     u = SplitMix64(seed).uniforms(3)
@@ -151,6 +161,12 @@ class TestDampedTransition:
 
 
 class TestAugmentAdjacency:
+    def test_is_an_adjacency_with_the_hub_last(self):
+        aug = augment_adjacency(golden.FOUR_NODE, 0.5)
+        assert isinstance(aug, AdjacencyMatrix)
+        assert aug.labels == ("1", "2", "3", "4", "5")
+        np.testing.assert_array_equal(aug.entries[4], [1, 1, 1, 1, 0])
+
     def test_epsilon_zero_empty_last_column(self):
         patched = patch_zero_rows(golden.EX1)
         aug = augment_adjacency(patched, 0.0)

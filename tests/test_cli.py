@@ -124,9 +124,7 @@ class TestPagerankCommand:
         path.write_text("0,1\x1c1,0\n")
         assert main(["pagerank", str(path)]) == 1
         # one non-numeric row: a header with no data rows
-        assert capsys.readouterr().err == (
-            "error: dense matrix input has a header but no data rows\n"
-        )
+        assert capsys.readouterr().err == f"error: {path}, line 1: header has no data rows\n"
 
     @pytest.mark.parametrize(
         "command",
@@ -248,6 +246,13 @@ class TestCompareCommand:
         assert main(["compare", str(good), str(bad)]) == 1
         err = capsys.readouterr().err
         assert err == f"error: {bad}, line 3: missing or non-numeric score {shown}\n"
+
+    @pytest.mark.parametrize("token", ["nan", "inf", " -Infinity", "1e400"])
+    def test_non_finite_score_names_file_and_line(self, tmp_path, capsys, token):
+        path = tmp_path / "s.csv"
+        path.write_text(f"label,score\na,{token}\nb,1\n")
+        assert main(["compare", str(path), str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {path}, line 2: non-finite score {token!r}\n"
 
     def test_byte_order_mark_in_score_file(self, tmp_path, capsys):
         path = tmp_path / "a.csv"

@@ -423,9 +423,41 @@ def assert_matches_dense_chain(got, expected, method):
 @pytest.mark.parametrize("seed", range(5))
 def test_pagerank_matches_public_constructors_bitwise(seed, method, alpha):
     adj = seeded_weighted_network(seed)
+    # an F-ordered adjacency gives a C-ordered public chain; its M @ x rounds
+    # otherwise, so at tol 1e-15 the power oracle may stop an iteration apart
+    f_ordered = AdjacencyMatrix(np.asfortranarray(adj.entries), adj.labels)
     for cfg in power_cfgs(adj.n, seed):
-        expected = damped_chain_ranking(adj, alpha, method, cfg)
-        assert_matches_dense_chain(pagerank(adj, alpha, method, cfg), expected, method)
+        for a in (adj, f_ordered) if method == "exact" else (adj,):
+            expected = damped_chain_ranking(a, alpha, method, cfg)
+            assert_matches_dense_chain(pagerank(a, alpha, method, cfg), expected, method)
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-3, 0.1, 1.0])
+@pytest.mark.parametrize("seed", range(5))
+def test_exact_markovrank_matches_public_constructors_bitwise(seed, eps):
+    adj = seeded_weighted_network(seed)
+    expected = damped_chain_ranking(adj, _hub_alpha(adj, eps), "exact", None)
+    assert_matches_dense_chain(markovrank(adj, eps), expected, "exact")
+
+
+def test_exact_pagerank_eliminates_in_its_chain():
+    # one n x n chain array, eliminated where it is built; the rest is the
+    # eliminator's matrix-product temporary
+    adj = gen_er(400, 0.05, 3)
+    tracemalloc.start()
+    try:
+        pagerank(adj, 0.85)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * adj.entries.nbytes
+
+
+def test_eigenvalue_one_space_leaves_its_argument():
+    chain = damped_transition(transition_generalized_inverse(gen_er(70, 0.1, 5)), 0.85)
+    before = chain.entries.copy()
+    eigenvalue_one_space(chain)
+    np.testing.assert_array_equal(chain.entries, before)
 
 
 @pytest.mark.parametrize("eps", [0.0, 1e-3, 0.1, 1.0])

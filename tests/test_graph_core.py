@@ -221,7 +221,9 @@ class TestLoadDenseMatrix:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError) as info:
             load_dense_matrix("0,1,0\n1,0,1")
-        assert str(info.value) == "dense matrix must be square, got 2x3"
+        assert str(info.value) == (
+            "dense matrix input, line 1: dense matrix must be square, got 2x3"
+        )
 
     def test_whitespace_grid(self):
         adj = load_dense_matrix("0 1\n1 0")
@@ -234,12 +236,14 @@ class TestLoadDenseMatrix:
     def test_ragged_rows_rejected(self):
         with pytest.raises(ValueError) as info:
             load_dense_matrix("0,1\n1")
-        assert str(info.value) == "ragged dense matrix: row widths [1, 2]"
+        assert str(info.value) == (
+            "dense matrix input, line 2: ragged row of width 1, where line 1 has width 2"
+        )
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError) as info:
             load_dense_matrix("  \n ")
-        assert str(info.value) == "empty dense matrix input"
+        assert str(info.value) == "dense matrix input: empty dense matrix"
 
     @pytest.mark.parametrize(
         "text, token",
@@ -255,10 +259,10 @@ class TestLoadDenseMatrix:
     def test_non_numeric_entry_message(self, text, token):
         with pytest.raises(ValueError) as info:
             load_dense_matrix(text)
-        assert str(info.value) == f"non-numeric entry {token!r} in dense matrix"
+        assert str(info.value) == f"dense matrix input, line 2: non-numeric entry {token!r}"
 
     def test_first_bad_token_is_named(self):
-        with pytest.raises(ValueError, match="non-numeric entry 'p'"):
+        with pytest.raises(ValueError, match="line 2: non-numeric entry 'p'"):
             load_dense_matrix("0,1,0\n0,p,q\nr,0,0")
 
     @pytest.mark.parametrize(
@@ -283,10 +287,27 @@ class TestLoadDenseMatrix:
             read_dense_csv(path)
         assert str(info.value) == f"{path}, line 1: header repeats label 'x'"
 
+    @pytest.mark.parametrize(
+        "text, problem",
+        [
+            (" \n\n", ": empty dense matrix"),
+            ("\na,b\n", ", line 2: header has no data rows"),
+            ("0,1\n\n1,0,1\n", ", line 3: ragged row of width 3, where line 1 has width 2"),
+            ("0,1\n1,y\n", ", line 2: non-numeric entry 'y'"),
+            ("0,1\n1,0\n1,1\n", ", line 3: dense matrix must be square, got 3x2"),
+        ],
+    )
+    def test_grid_errors_name_the_file_and_line(self, tmp_path, text, problem):
+        path = tmp_path / "g.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError) as info:
+            read_dense_csv(path)
+        assert str(info.value) == f"{path}{problem}"
+
     def test_header_without_data_rows(self):
         with pytest.raises(ValueError) as info:
             load_dense_matrix("a,b\n\n")
-        assert str(info.value) == "dense matrix input has a header but no data rows"
+        assert str(info.value) == "dense matrix input, line 1: header has no data rows"
 
     def test_quoted_numeric_fields(self):
         adj = load_dense_matrix('"0","1"\n"1","0"')
