@@ -68,7 +68,7 @@ def transition_generalized_inverse(adj: AdjacencyMatrix) -> TransitionMatrix:
 
 def _generalized_inverse(adj: AdjacencyMatrix, out: np.ndarray) -> np.ndarray:
     """Write the entries of transition_generalized_inverse(adj) into `out`, n x n."""
-    deg = adj.entries.sum(axis=1)
+    deg = adj._out_degrees
     np.divide(adj.entries.T, np.where(deg > 0, deg, 1.0), out=out)
     out[:, deg == 0] = 1.0 / adj.n
     return out
@@ -109,10 +109,9 @@ def _damped_operator(adj: AdjacencyMatrix, alpha: float) -> Callable[[np.ndarray
     """
     _check_alpha(alpha)
     n = adj.n
-    deg = adj.entries.sum(axis=1)
-    # np.nonzero on the 2-D float array is ~10x slower than this flat bool scan
-    src, dst = np.divmod(np.flatnonzero(adj.entries != 0), n)
-    weights = adj.entries[src, dst] / deg[src]
+    src, dst, weights = adj._edges
+    deg = adj._out_degrees
+    weights = weights / deg[src]
     dangling = np.flatnonzero(deg == 0)
 
     def step(x: np.ndarray) -> np.ndarray:

@@ -295,7 +295,7 @@ def _hub_alpha(adj: AdjacencyMatrix, epsilon: float) -> float:
     Each zero row patches to n ones, so S comes from the out-degrees alone.
     """
     _check_epsilon(epsilon)
-    out = adj.entries.sum(axis=1)
+    out = adj._out_degrees
     total = out.sum() + adj.n * np.count_nonzero(out == 0)
     # 2S / (2S + eps) without the doubling, which could overflow
     return total / (total + epsilon / 2)

@@ -1,3 +1,6 @@
+import csv
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,8 +9,11 @@ from hypothesis.extra.numpy import arrays
 
 from netrank import (
     AdjacencyMatrix,
+    PowerIterConfig,
     load_dense_matrix,
     load_edge_list,
+    markovrank,
+    pagerank,
     patch_zero_rows,
     read_dense_csv,
     read_edge_list_csv,
@@ -201,6 +207,69 @@ def test_load_edge_list_matches_loop(seed):
 def test_load_edge_list_errors_match_loop(edges, roster, message):
     assert edge_list_outcome(load_edge_list, edges, roster) == message
     assert edge_list_outcome(looped_load_edge_list, edges, roster) == message
+
+
+class TestEdgeStorage:
+    """load_edge_list keeps its matrix as edges and scatters `entries` on demand."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_rankings_match_the_dense_copy_bit_for_bit(self, seed):
+        edges, pool = random_edge_list(seed)
+        edges += [(pool[0], pool[0])] + edges[:3]  # a self-edge and duplicates
+        adj = load_edge_list(edges, pool + ["iso"])  # an isolated roster node
+        dense = AdjacencyMatrix(adj.entries, adj.labels)
+        cfg = PowerIterConfig(tolerance=1e-13)
+        for rank, param in ((pagerank, 0.85), (pagerank, 0.5), (markovrank, 1.0),
+                            (markovrank, 0.1)):
+            for method in ("exact", "power"):
+                a, b = rank(adj, param, method, cfg), rank(dense, param, method, cfg)
+                assert a.values.tobytes() == b.values.tobytes()
+                assert (a.iterations, a.labels) == (b.iterations, b.labels)
+
+    def test_entries_are_a_read_only_scatter(self):
+        adj = load_edge_list([("b", "a"), ("a", "b"), ("b", "b"), ("a", "b")], ["a", "b", "c"])
+        expected = np.zeros((3, 3))
+        expected[[0, 1, 1], [1, 0, 1]] = 1.0
+        e = adj.entries
+        assert e.dtype == np.float64 and e.flags.c_contiguous and not e.flags.writeable
+        assert e.tobytes() == expected.tobytes()
+        assert adj.entries is e
+        with pytest.raises(ValueError):
+            e[0, 0] = 1.0
+
+    def test_fields_cannot_be_assigned(self):
+        adj = load_edge_list([("a", "b")])
+        for name in ("entries", "labels"):
+            with pytest.raises(AttributeError):
+                setattr(adj, name, None)
+            with pytest.raises(AttributeError):
+                delattr(adj, name)
+        assert adj.labels == ("a", "b")
+
+    def test_n_and_power_rankings_never_build_entries(self):
+        adj = load_edge_list([("a", "b"), ("b", "c"), ("c", "a"), ("c", "b")], ["a", "b", "c", "d"])
+        assert adj.n == 4
+        pagerank(adj, 0.85, "power")
+        markovrank(adj, 1.0, "power")
+        assert "entries" not in vars(adj)
+
+    def test_power_rankings_of_a_large_edge_list_stay_linear_in_edges(self):
+        # n^2 float64 entries would take 80 GB; the edges take a few MB
+        n, degree = 100_000, 4
+        rng = np.random.default_rng(7)
+        labels = [f"u{i}" for i in range(n)]
+        dst = rng.integers(0, n, size=n * degree).tolist()
+        edges = [(labels[k // degree], labels[j]) for k, j in enumerate(dst)]
+        tracemalloc.start()
+        try:
+            adj = load_edge_list(edges, labels)
+            pr = pagerank(adj, 0.85, "power")
+            mr = markovrank(adj, 1.0, "power")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 160 * len(edges)
+        assert pr.n == mr.n == n
 
 
 class TestLoadDenseMatrix:
@@ -519,8 +588,55 @@ class TestCsvReaders:
         f.write_text("\ufeff" + text, encoding="utf-8")
         assert read(f) == expected
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "screen_name\na\n\n\nb\n\n",
+            "\nscreen_name\na\n",
+            "",
+            "screen_name,x,screen_name\nq,r,a\nq,r,b\n",
+            "screen_name,x,screen_name\nq,r,a\na,r\n",
+            'id,screen_name\n"1\n2",a\n3,b\n4,a\n',
+            "id,screen_name\n1,a\n\n\n2,\n",
+            "id,screen_name,x\n1,a,y,z\n2,b\n",
+        ],
+    )
+    def test_roster_matches_dict_reader(self, tmp_path, text):
+        f = tmp_path / "roster.csv"
+        f.write_text(text)
+        assert read_outcome(read_roster_csv, f) == read_outcome(dict_reader_roster, f)
+
     def test_roster_missing_column(self, tmp_path):
         f = tmp_path / "roster.csv"
         f.write_text("name\na\n")
         with pytest.raises(ValueError, match="screen_name"):
             read_roster_csv(f)
+
+
+def dict_reader_roster(path):
+    """read_roster_csv through csv.DictReader, as an oracle."""
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None or "screen_name" not in reader.fieldnames:
+            raise ValueError(f"{path}: roster file needs a 'screen_name' column")
+        first_line = {}
+        for row in reader:
+            where = f"{path}, line {reader.line_num}: roster row"
+            label = row["screen_name"]
+            if label is None:
+                raise ValueError(f"{where} has no 'screen_name' column")
+            if not label:
+                raise ValueError(f"{where} has an empty 'screen_name' field")
+            if label in first_line:
+                raise ValueError(
+                    f"{where} repeats screen_name {label!r} (first on line {first_line[label]})"
+                )
+            first_line[label] = reader.line_num
+        return list(first_line)
+
+
+def read_outcome(read, path):
+    try:
+        return read(path)
+    except ValueError as exc:
+        return str(exc)
