@@ -160,14 +160,27 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _parse_grid(text: str) -> tuple[float, ...]:
-    return tuple(float(t) for t in text.split(",") if t.strip())
+def _parse_grid(
+    text: Optional[str], option: str, default: tuple[float, ...]
+) -> tuple[float, ...]:
+    """The comma-separated values of a grid option; `default` when it is not given."""
+    if text is None:
+        return default
+    values = []
+    for token in filter(None, (t.strip() for t in text.split(","))):
+        try:
+            values.append(float(token))
+        except ValueError:
+            raise ValueError(f"{option}: non-numeric value {token!r}") from None
+    if not values:
+        raise ValueError(f"{option}: no values in {text!r}")
+    return tuple(values)
 
 
 def cmd_sweep(args) -> int:
+    alphas = _parse_grid(args.alphas, "--alphas", experiments.DEFAULT_ALPHAS)
+    epsilons = _parse_grid(args.epsilons, "--epsilons", experiments.DEFAULT_EPSILONS)
     adj = _load_network(args)
-    alphas = _parse_grid(args.alphas) if args.alphas else experiments.DEFAULT_ALPHAS
-    epsilons = _parse_grid(args.epsilons) if args.epsilons else experiments.DEFAULT_EPSILONS
     report = experiments.invariance_sweep(adj, alphas, epsilons, tie_tol=args.tie_tol)
     text = report.to_json() + "\n" if args.out == "json" else report.to_csv()
     _emit(text, args.output)

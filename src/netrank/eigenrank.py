@@ -4,12 +4,13 @@ The exact method finds the eigenvalue-1 eigenspace of a column-stochastic
 matrix as the null space of (M - I) by Gaussian elimination with a pivot
 threshold; because eigenvalue 1 of a stochastic matrix is semisimple, the
 null-space dimension equals the eigenvalue's multiplicity.  The elimination
-is blocked like LAPACK's getrf (column-by-column pivoting inside 32-column
-panels, one triangular solve and one matrix product per panel for the other
-columns), with the pivot rule of the plain column-by-column elimination;
-exact rankings eliminate in the one n x n array where they build the damped
-chain.  The power method iterates x_k = M x_{k-1} to the same fixed point on
-regular chains; rankings apply the damped M from the adjacency's edges.
+is blocked like LAPACK's getrf: a 32-column panel is factored without row
+swaps when the pivot rule, checked with a margin, would make none, and
+column by column otherwise, so every decision is that of the plain
+column-by-column elimination.  Exact rankings eliminate in the one n x n
+array where they build the damped chain.  The power method iterates
+x_k = M x_{k-1} to the same fixed point on regular chains; rankings apply
+the damped M from the adjacency's edges.
 
 markovrank is not solved on the (n+1)-state augmented chain: eliminating its
 hub state (stochastic complementation, Meyer, SIAM Review 31(2), 1989) shows
@@ -138,14 +139,21 @@ def eigenvalue_one_space(matrix: TransitionMatrix) -> EigenSpace:
     must be before the ranking is reported as ill-defined.  When the nullity
     is 1 the basis vector is returned unnormalized (arbitrary sign and scale).
 
-    The elimination is blocked, as in LAPACK's getrf.  Each panel of 32
-    columns is eliminated column by column: pivot search, full-row swap and
-    a rank-1 update of the panel's columns only.  The panel's pivots then
-    reach every other non-pivot column (the columns right of the panel and
-    the free columns left of it) by one triangular solve and one matrix
-    product.  Each pivot is still chosen from fully updated values, so the
-    pivot rule, and with it the nullity and every MultiplicityError, is that
-    of the unblocked column-by-column elimination.
+    The elimination is blocked, as in LAPACK's getrf, in panels of 32
+    columns.  M - I has zero column sums and is column diagonally dominant,
+    and its Schur complements stay so (the structure of GTH elimination:
+    Grassmann, Taksar & Heyman, Oper. Res. 33(5), 1985), so partial pivoting
+    nearly always takes the diagonal row.  A panel is therefore first
+    factored without row swaps, and kept only if the pivot rule, checked
+    with a margin, would take each diagonal row and free no column.  Every
+    other panel (ties such as single-out-link nodes at alpha = 1, pivots
+    near the threshold) and always the last is eliminated column by column:
+    pivot search, full-row swap and a rank-1 update of the panel's columns
+    only.  The panel's pivots then reach every other non-pivot column (the
+    columns right of the panel and the free columns left of it) by one
+    triangular solve and one matrix product.  Each pivot is still chosen
+    from fully updated values, so the pivot rule, and with it the nullity
+    and every MultiplicityError, is that of the unblocked elimination.
     """
     return _eliminate(matrix.entries.copy())
 
@@ -165,19 +173,24 @@ def _eliminate(U: np.ndarray) -> EigenSpace:
     for c0 in range(0, m, _PANEL):
         c1 = min(c0 + _PANEL, m)
         r0, free_left = r, list(free)
-        for c in range(c0, c1):
-            i = int(np.argmax(np.abs(U[r:, c]))) + r
-            if abs(U[i, c]) <= threshold:
-                free.append(c)
-                continue
-            if i != r:
-                U[[r, i]] = U[[i, r]]
-                L[[r, i], : r - r0] = L[[i, r], : r - r0]
-            L[r + 1 :, r - r0] = U[r + 1 :, c] / U[r, c]
-            # from c0, not c: free columns of this panel keep their updates
-            U[r + 1 :, c0:c1] -= L[r + 1 :, r - r0, None] * U[r, c0:c1]
-            pivot_rows.append((r, c))
-            r += 1
+        # a unique ranking leaves its free column in the last panel: the column loop finds it
+        if c1 < m and _panel_without_swaps(U, L, r, c0, c1, threshold):
+            pivot_rows += zip(range(r, r + c1 - c0), range(c0, c1))
+            r += c1 - c0
+        else:
+            for c in range(c0, c1):
+                i = int(np.argmax(np.abs(U[r:, c]))) + r
+                if abs(U[i, c]) <= threshold:
+                    free.append(c)
+                    continue
+                if i != r:
+                    U[[r, i]] = U[[i, r]]
+                    L[[r, i], : r - r0] = L[[i, r], : r - r0]
+                L[r + 1 :, r - r0] = U[r + 1 :, c] / U[r, c]
+                # from c0, not c: free columns of this panel keep their updates
+                U[r + 1 :, c0:c1] -= L[r + 1 :, r - r0, None] * U[r, c0:c1]
+                pivot_rows.append((r, c))
+                r += 1
         if r > r0:
             if free_left:
                 _apply_panel(U, L, r0, r, free_left)
@@ -190,6 +203,45 @@ def _eliminate(U: np.ndarray) -> EigenSpace:
     for row, c in reversed(pivot_rows):
         x[c] = -(U[row] @ x) / U[row, c]
     return EigenSpace(1, x, threshold)
+
+
+# _panel_without_swaps keeps a panel only with this much room on each test of
+# the pivot rule, so that rounding cannot turn a decision of the column loop.
+_RULE_MARGIN = 1e-9
+
+
+def _panel_without_swaps(
+    U: np.ndarray, L: np.ndarray, r: int, c0: int, c1: int, threshold: float
+) -> bool:
+    """Factor panel c0..c1-1 from row r with no row swap, if partial pivoting would make none.
+
+    Factors a copy of the diagonal block U[r:r+w, c0:c1] without pivoting;
+    the multipliers below it are the rows under the block times the inverse
+    of its upper triangle.  The panel is kept only if every multiplier has
+    |l| < 1 - _RULE_MARGIN and every pivot exceeds (1 + _RULE_MARGIN) *
+    threshold: the column loop would then take each diagonal row (argmax
+    returns the first maximum) and free no column, so the decisions are the
+    same and only the rounding differs.  Kept, the multipliers go to L and
+    the factored block to the panel's rows of U, and it returns True;
+    refused, it returns False and has written nothing.
+    """
+    w = c1 - c0
+    block = U[r : r + w, c0:c1].copy()
+    top, floor = 1.0 - _RULE_MARGIN, (1.0 + _RULE_MARGIN) * threshold
+    for j in range(w):
+        if not abs(block[j, j]) > floor:
+            return False
+        block[j + 1 :, j] /= block[j, j]
+        if not (np.abs(block[j + 1 :, j]) < top).all():
+            return False
+        block[j + 1 :, j + 1 :] -= np.outer(block[j + 1 :, j], block[j, j + 1 :])
+    below = U[r + w :, c0:c1] @ np.linalg.inv(np.triu(block))
+    if not (np.abs(below) < top).all():
+        return False
+    L[r : r + w, :w] = block  # _apply_panel reads only its strict lower triangle
+    L[r + w :, :w] = below
+    U[r : r + w, c0:c1] = block
+    return True
 
 
 def _apply_panel(U: np.ndarray, L: np.ndarray, r0: int, r: int, cols) -> None:

@@ -370,6 +370,31 @@ class TestSweepCommand:
         assert payload["alphas"] == [0.85, 0.95]
         assert len(payload["records"]) == 3
 
+    @pytest.mark.parametrize("grid", [",", " , ", ""])
+    @pytest.mark.parametrize("option", ["--alphas", "--epsilons"])
+    def test_grid_without_values_is_rejected(self, tmp_path, capsys, option, grid):
+        path = write_dense(tmp_path / "d.csv", golden.EX_D)
+        assert main(["sweep", str(path), option, grid, "--out", "csv"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {option}: no values in {grid!r}\n"
+
+    def test_both_grids_without_values_name_the_first(self, tmp_path, capsys):
+        path = write_dense(tmp_path / "d.csv", golden.EX_D)
+        assert main(["sweep", str(path), "--alphas", ",", "--epsilons", " , "]) == 1
+        assert capsys.readouterr().err == "error: --alphas: no values in ','\n"
+
+    @pytest.mark.parametrize(
+        "option, grid, token",
+        [("--alphas", "0.5,x", "x"), ("--epsilons", " 1e-3 , 0..5 ", "0..5")],
+    )
+    def test_non_numeric_grid_value_is_named(self, tmp_path, capsys, option, grid, token):
+        path = write_dense(tmp_path / "d.csv", golden.EX_D)
+        assert main(["sweep", str(path), option, grid]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {option}: non-numeric value {token!r}\n"
+
 
 class TestEdgeListInputs:
     def test_edgelist_with_roster(self, tmp_path, capsys):
@@ -441,16 +466,18 @@ class TestEdgeListInputs:
 
 
 class TestModuleEntryPoint:
-    def run_module(self, *argv, module="netrank"):
+    def run_python(self, *argv):
         import netrank
 
         env = dict(os.environ)
         src = os.path.dirname(os.path.dirname(os.path.abspath(netrank.__file__)))
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         return subprocess.run(
-            [sys.executable, "-m", module, *argv],
-            capture_output=True, text=True, env=env, timeout=120,
+            [sys.executable, *argv], capture_output=True, text=True, env=env, timeout=120
         )
+
+    def run_module(self, *argv, module="netrank"):
+        return self.run_python("-m", module, *argv)
 
     def test_ranks_a_golden_network(self, four_node_file):
         result = self.run_module("markovrank", four_node_file, "--epsilon", "0")
@@ -469,3 +496,18 @@ class TestModuleEntryPoint:
         result = self.run_module("pagerank", str(tmp_path / "missing.csv"), module="netrank.cli")
         assert result.returncode == 1
         assert result.stderr.startswith("error:")
+
+    def test_exact_solves_import_no_scipy(self, tmp_path):
+        # importing scipy.linalg alone would add tens of MB to every run
+        path = write_dense(tmp_path / "g.csv", experiments.gen_er(40, 0.1, 3))
+        script = (
+            "import sys\n"
+            "from netrank.cli import main\n"
+            "net, out = sys.argv[1:]\n"
+            "assert main(['pagerank', net, '--output', out + '/p.csv']) == 0\n"
+            "assert main(['sweep', net, '--output', out + '/s.json']) == 0\n"
+            "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n"
+        )
+        result = self.run_python("-c", script, path, str(tmp_path))
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "[]\n"

@@ -26,7 +26,15 @@ from netrank import (
     transition_from_patched,
     transition_generalized_inverse,
 )
-from netrank.eigenrank import PIVOT_TOL, EigenSpace, _hub_alpha, _normalize_scores
+from netrank import eigenrank
+from netrank.eigenrank import (
+    _PANEL,
+    PIVOT_TOL,
+    EigenSpace,
+    _hub_alpha,
+    _normalize_scores,
+    _panel_without_swaps,
+)
 
 import golden
 
@@ -47,9 +55,9 @@ def augmented_chain_ranking(adj, eps):
 def unblocked_null_space(matrix):
     """The column-by-column threshold elimination, as an oracle for the blocked one.
 
-    Same pivot rule as eigenvalue_one_space (partial pivoting, a column
-    skipped when its best pivot is at most PIVOT_TOL*m), with each pivot's
-    rank-1 update applied to whole rows at once.
+    The pivot rule alone (partial pivoting, a column skipped when its best
+    pivot is at most PIVOT_TOL*m), with each pivot's rank-1 update applied
+    to whole rows at once: no panels and no swap-free shortcut.
     """
     m = matrix.m
     threshold = PIVOT_TOL * m
@@ -548,11 +556,13 @@ ELIMINATOR_EPSILONS = [0.0, 1e-12, 1e-4, 1.0]
 
 
 def assert_same_null_space(chain, context):
+    """eigenvalue_one_space against the oracle; returns the oracle's space."""
     got, expected = eigenvalue_one_space(chain), unblocked_null_space(chain)
     assert got.multiplicity == expected.multiplicity, context
     if expected.multiplicity == 1:
         gap = np.abs(got.vector / got.vector.sum() - expected.vector / expected.vector.sum())
         assert gap.max() <= 1e-12, (context, gap.max())
+    return expected
 
 
 @pytest.mark.parametrize("family", ELIMINATOR_FAMILIES)
@@ -575,3 +585,106 @@ def test_blocked_elimination_matches_unblocked_on_augmented_chains(m):
     for eps in ELIMINATOR_EPSILONS:
         chain = transition_from_augmented(augment_adjacency(patch_zero_rows(adj), eps))
         assert_same_null_space(chain, eps)
+
+
+def two_class_network(seed, m):
+    """Two closed classes, each a cycle plus sparse random edges, in shuffled order."""
+    rng = np.random.default_rng(seed)
+    a = max(1, m // 3)
+    entries = np.zeros((m, m))
+    entries[:a, :a] = _closed_class(rng, a)
+    if m > a:
+        entries[a:, a:] = _closed_class(rng, m - a)
+    perm = rng.permutation(m)
+    return AdjacencyMatrix.from_entries(entries[np.ix_(perm, perm)])
+
+
+def single_out_link_cycle(seed, m):
+    """One cycle through all m nodes in a seeded order: |l| = 1 ties at alpha = 1."""
+    order = np.random.default_rng(seed).permutation(m)
+    entries = np.zeros((m, m))
+    entries[order, np.roll(order, -1)] = 1.0
+    return AdjacencyMatrix.from_entries(entries)
+
+
+ORACLE_NETWORKS = {
+    "weighted_zero_rows": seeded_weighted_network,
+    "two_classes": two_class_network,
+    "single_out_link_cycle": single_out_link_cycle,
+}
+ORACLE_SIZES = [1, 2, 31, 32, 33, 64, 65, 100]
+ORACLE_ALPHAS = [0.5, 0.85, 0.99, 1 - 1e-3, 1 - 1e-4, 1 - 1e-5, 1.0]
+
+
+@pytest.mark.parametrize("m", ORACLE_SIZES)
+@pytest.mark.parametrize("family", sorted(ORACLE_NETWORKS))
+def test_eliminator_matches_pivot_rule_oracle(family, m):
+    """eigenvalue_one_space and exact pagerank decide as the unblocked pivot rule.
+
+    Every panel but the last of a 33..100-node chain may take the swap-free
+    shortcut; its decisions must be the column loop's, on ties and near the
+    threshold too.
+    """
+    adj = ORACLE_NETWORKS[family](m, m)
+    for alpha in ORACLE_ALPHAS:
+        chain = damped_transition(transition_generalized_inverse(adj), alpha)
+        expected = assert_same_null_space(chain, alpha)
+        if expected.multiplicity != 1:
+            with pytest.raises(MultiplicityError) as err:
+                pagerank(adj, alpha)
+            assert err.value.multiplicity == expected.multiplicity, alpha
+            continue
+        gap = np.abs(pagerank(adj, alpha).values - expected.vector / expected.vector.sum())
+        assert gap.max() <= 1e-12, (alpha, gap.max())
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_swap_free_shortcut_takes_every_full_panel(monkeypatch, seed):
+    # a damped sparse random chain is strictly diagonally dominant by columns:
+    # every panel but the last must take the shortcut, or it stopped running
+    kept = []
+
+    def recording(*args):
+        kept.append(_panel_without_swaps(*args))
+        return kept[-1]
+
+    monkeypatch.setattr(eigenrank, "_panel_without_swaps", recording)
+    pagerank(gen_er(300, 0.05, seed), 0.85)
+    assert kept == [True] * (300 // _PANEL)
+
+
+def dense_two_classes(m, a):
+    """Dense weighted closed classes 0..a-1 and a..m-1, in that order.
+
+    Eliminating the first class leaves a pivot of order 1 - alpha: below the
+    threshold near alpha = 1.  At alpha = 1 the class shows first as a tie,
+    |l| = 1 one column earlier; the other multipliers have |l| < 1.
+    """
+    rng = np.random.default_rng(m)
+    entries = np.zeros((m, m))
+    entries[:a, :a] = rng.random((a, a)) + 0.1
+    entries[a:, a:] = rng.random((m - a, m - a)) + 0.1
+    return AdjacencyMatrix.from_entries(entries)
+
+
+def keeps_first_panel(U, threshold):
+    m = U.shape[0]
+    return _panel_without_swaps(U, np.empty((m, _PANEL)), 0, 0, _PANEL, threshold)
+
+
+@pytest.mark.parametrize(
+    "adj, alpha, reason",
+    [
+        (single_out_link_cycle(4, 80), 1.0, "tie"),
+        (dense_two_classes(80, 10), 1 - 1e-6, "pivot"),
+    ],
+    ids=["exact_tie", "sub_threshold_pivot"],
+)
+def test_swap_free_shortcut_refuses_and_leaves_u(adj, alpha, reason):
+    chain = damped_transition(transition_generalized_inverse(adj), alpha)
+    U = chain.entries - np.eye(adj.n)
+    before = U.tobytes()
+    assert not keeps_first_panel(U, PIVOT_TOL * adj.n)
+    assert U.tobytes() == before
+    # a tie refuses at any threshold; the small pivot passes a zero one
+    assert keeps_first_panel(U, 0.0) == (reason == "pivot")
