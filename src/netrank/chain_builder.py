@@ -46,7 +46,7 @@ def transition_from_patched(patched: AdjacencyMatrix) -> TransitionMatrix:
 
     Requires strictly positive row sums; patch zero rows first.
     """
-    rowsums = patched.entries.sum(axis=1)
+    rowsums = patched._out_degrees
     if (rowsums == 0).any():
         bad = int(np.nonzero(rowsums == 0)[0][0])
         raise ValueError(f"row {bad} has zero sum; patch zero rows before building the chain")
@@ -132,7 +132,7 @@ def augment_adjacency(patched: AdjacencyMatrix, epsilon: float) -> AdjacencyMatr
     of the base, its outgoing row is (1, ..., 1, 0).
     """
     _check_epsilon(epsilon)
-    rowsums = patched.entries.sum(axis=1)
+    rowsums = patched._out_degrees
     if (rowsums == 0).any():
         raise ValueError("augmenting requires strictly positive row sums; patch first")
     n = patched.n

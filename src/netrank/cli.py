@@ -29,12 +29,16 @@ EXIT_MULTIPLICITY = 2
 
 def _load_network(args) -> graph_core.AdjacencyMatrix:
     if args.format == "dense":
+        for option, value in (("--roster", args.roster), ("--edge-cols", args.edge_cols)):
+            if value is not None:
+                raise ValueError(f"{option} applies to --format edgelist only")
         return graph_core.read_dense_csv(args.input)
-    follower_col, _, followed_col = (c.strip() for c in args.edge_cols.partition(","))
+    edge_cols = "following,followed" if args.edge_cols is None else args.edge_cols
+    follower_col, _, followed_col = (c.strip() for c in edge_cols.partition(","))
     if not (follower_col and followed_col):
         raise ValueError(
             "--edge-cols expects two comma-separated column names "
-            f"(FOLLOWER,FOLLOWED), got {args.edge_cols!r}"
+            f"(FOLLOWER,FOLLOWED), got {edge_cols!r}"
         )
     edges = graph_core.read_edge_list_csv(args.input, follower_col, followed_col)
     roster = graph_core.read_roster_csv(args.roster) if args.roster else None
@@ -193,10 +197,20 @@ def _add_network_options(p: argparse.ArgumentParser):
     p.add_argument("--roster", help="roster CSV with a screen_name column (edgelist only)")
     p.add_argument(
         "--edge-cols",
-        default="following,followed",
         metavar="FOLLOWER,FOLLOWED",
-        help="edge-list column names (default: following,followed)",
+        help="edge-list column names (edgelist only; default: following,followed)",
     )
+
+
+def _tie_tol(text: str) -> float:
+    """--tie-tol: NaN and negative values, which would tie no two scores, are refused."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not value >= 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative number, got {text!r}")
+    return value
 
 
 def _add_ranking_options(p: argparse.ArgumentParser):
@@ -204,7 +218,7 @@ def _add_ranking_options(p: argparse.ArgumentParser):
     p.add_argument("--method", choices=("exact", "power"), default="exact")
     p.add_argument("--tol", type=float, default=1e-6, help="power-iteration tolerance")
     p.add_argument("--max-iter", type=int, default=10**6)
-    p.add_argument("--tie-tol", type=float, default=rank_stats.DEFAULT_TIE_TOL)
+    p.add_argument("--tie-tol", type=_tie_tol, default=rank_stats.DEFAULT_TIE_TOL)
     p.add_argument("--out", choices=("csv", "json"), default="csv")
     p.add_argument("--output", help="write to this path instead of stdout")
 
@@ -238,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="compare two score CSV files")
     p.add_argument("file_a")
     p.add_argument("file_b")
-    p.add_argument("--tie-tol", type=float, default=rank_stats.DEFAULT_TIE_TOL)
+    p.add_argument("--tie-tol", type=_tie_tol, default=rank_stats.DEFAULT_TIE_TOL)
     p.set_defaults(run=cmd_compare)
 
     p = sub.add_parser("gen", help="generate a random adjacency CSV")
@@ -260,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_network_options(p)
     p.add_argument("--alphas", help="comma-separated alpha grid")
     p.add_argument("--epsilons", help="comma-separated epsilon grid")
-    p.add_argument("--tie-tol", type=float, default=rank_stats.DEFAULT_TIE_TOL)
+    p.add_argument("--tie-tol", type=_tie_tol, default=rank_stats.DEFAULT_TIE_TOL)
     p.add_argument("--out", choices=("json", "csv"), default="json")
     p.add_argument("--output", help="write to this path instead of stdout")
     p.set_defaults(run=cmd_sweep)
@@ -269,7 +283,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error; 2 means multiplicity here
+        if exc.code == 2:
+            return EXIT_INPUT
+        raise
     try:
         return args.run(args)
     except MultiplicityError as exc:

@@ -21,7 +21,7 @@ of the patched adjacency.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -103,20 +103,18 @@ class EigenSpace:
 
     multiplicity: int
     vector: Optional[np.ndarray]
-    tolerance_used: float
 
 
 @dataclass(frozen=True)
 class PowerIterConfig:
-    """Stopping rule for power iteration.
+    """Stopping rule for power iteration, which starts from the uniform vector.
 
     Iteration stops when the max-abs successive difference drops to
-    `tolerance`.  `initial` must sum to 1; None means uniform.
+    `tolerance`.
     """
 
     tolerance: float = 1e-6
     max_iterations: int = 10**6
-    initial: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if not self.tolerance > 0:  # NaN too
@@ -197,12 +195,12 @@ def _eliminate(U: np.ndarray) -> EigenSpace:
             _apply_panel(U, L, r0, r, slice(c1, m))
     nullity = m - r
     if nullity != 1:
-        return EigenSpace(nullity, None, threshold)
+        return EigenSpace(nullity, None)
     x = np.zeros(m)
     x[free[0]] = 1.0
     for row, c in reversed(pivot_rows):
         x[c] = -(U[row] @ x) / U[row, c]
-    return EigenSpace(1, x, threshold)
+    return EigenSpace(1, x)
 
 
 # _panel_without_swaps keeps a panel only with this much room on each test of
@@ -257,46 +255,33 @@ def _apply_panel(U: np.ndarray, L: np.ndarray, r0: int, r: int, cols) -> None:
 
 
 def stationary_power(
-    matrix: TransitionMatrix,
-    cfg: PowerIterConfig = PowerIterConfig(),
-    labels: Optional[Sequence[str]] = None,
+    matrix: TransitionMatrix, cfg: PowerIterConfig = PowerIterConfig()
 ) -> ScoreVector:
-    """Iterate x_k = M x_{k-1} until successive iterates agree within tolerance.
+    """Iterate x_k = M x_{k-1} from the uniform vector until successive iterates agree.
 
-    Raises NonConvergenceError (carrying the last iterate) if max_iterations
-    is exhausted, as happens on periodic non-regular chains.
+    The scores are labelled "1".."m".  Raises NonConvergenceError (carrying
+    the last iterate) if max_iterations is exhausted, as happens on periodic
+    non-regular chains.
     """
-    return _iterate(matrix.entries.__matmul__, matrix.m, cfg, labels)
+    return _iterate(matrix.entries.__matmul__, default_labels(matrix.m), cfg)
 
 
 def _iterate(
-    step: Callable[[np.ndarray], np.ndarray],
-    m: int,
-    cfg: PowerIterConfig,
-    labels: Optional[Sequence[str]],
+    step: Callable[[np.ndarray], np.ndarray], labels: tuple[str, ...], cfg: PowerIterConfig
 ) -> ScoreVector:
-    """Iterate x_k = step(x_{k-1}) on m states from cfg.initial (uniform if None).
+    """Iterate x_k = step(x_{k-1}) on one state per label, from the uniform vector.
 
     The loop of stationary_power and of power rankings: it stops when the
     max-abs successive difference reaches cfg.tolerance and raises
     NonConvergenceError after cfg.max_iterations steps.
     """
-    if cfg.initial is None:
-        x = np.full(m, 1.0 / m)
-    else:
-        x = np.asarray(cfg.initial, dtype=float)
-        if x.shape != (m,):
-            raise ValueError(f"initial vector has shape {x.shape}, chain has {m} states")
-        if abs(x.sum() - 1.0) > SCORE_SUM_TOL:
-            raise ValueError("initial vector must sum to 1")
+    x = np.full(len(labels), 1.0 / len(labels))
     for k in range(1, cfg.max_iterations + 1):
         x_next = step(x)
         diff = np.abs(x_next - x).max()
         x = x_next
         if diff <= cfg.tolerance:
-            return ScoreVector(
-                x, tuple(labels) if labels is not None else default_labels(m), iterations=k
-            )
+            return ScoreVector(x, labels, iterations=k)
     raise NonConvergenceError(x, cfg.max_iterations, cfg.tolerance)
 
 
@@ -337,7 +322,7 @@ def pagerank(
     if method == "power":
         # high-accuracy default for the ranking entry points
         cfg = cfg if cfg is not None else PowerIterConfig(tolerance=1e-15)
-        return _iterate(_damped_operator(adj, alpha), adj.n, cfg, adj.labels)
+        return _iterate(_damped_operator(adj, alpha), adj.labels, cfg)
     raise ValueError(f"method must be 'exact' or 'power', got {method!r}")
 
 

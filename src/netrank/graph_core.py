@@ -53,9 +53,10 @@ class AdjacencyMatrix:
             raise ValueError(f"adjacency matrix must be square, got shape {e.shape}")
         if e.shape[0] == 0:
             raise ValueError("adjacency matrix must have at least one node")
-        # one finite total rules out NaN, inf and degrees that overflow
+        # one finite total of the out-degrees rules out NaN, inf and overflow
         with np.errstate(over="ignore", invalid="ignore"):
-            finite_total = np.isfinite(e.sum())
+            deg = e.sum(axis=1)
+            finite_total = np.isfinite(deg.sum())
         if not finite_total and not np.isfinite(e).all():
             raise ValueError("adjacency entries must be finite")
         if e.min() < 0:  # no n x n bool array
@@ -67,7 +68,7 @@ class AdjacencyMatrix:
             raise ValueError(f"{len(labels)} labels for {e.shape[0]} nodes")
         if len(set(labels)) != len(labels):
             raise ValueError("node labels must be pairwise distinct")
-        vars(self).update(entries=e, labels=labels)
+        vars(self).update(entries=e, labels=labels, _out_degrees=_adopt(deg))
 
     @classmethod
     def _from_edges(cls, src: np.ndarray, dst: np.ndarray, labels: tuple[str, ...]):
@@ -87,7 +88,7 @@ class AdjacencyMatrix:
         e = np.asarray(entries, dtype=float)
         return cls(e, default_labels(e.shape[0] if e.ndim == 2 else 0))
 
-    # computed on first use: `entries` by an edge-backed instance, the rest by a dense one
+    # computed on first use: `entries` by an edge-backed instance, `_edges` by a dense one
     @cached_property
     def entries(self) -> np.ndarray:
         e = np.zeros((self.n, self.n))
@@ -100,10 +101,6 @@ class AdjacencyMatrix:
         # np.nonzero on the 2-D float array is ~10x slower than this flat bool scan
         src, dst = np.divmod(np.flatnonzero(self.entries != 0), self.n)
         return _adopt(src), _adopt(dst), _adopt(self.entries[src, dst])
-
-    @cached_property
-    def _out_degrees(self) -> np.ndarray:
-        return _adopt(self.entries.sum(axis=1))
 
 
 def load_edge_list(
@@ -216,7 +213,7 @@ def patch_zero_rows(adj: AdjacencyMatrix) -> AdjacencyMatrix:
     idempotent and the result always has strictly positive out-degrees.
     """
     entries = adj.entries.copy()
-    entries[entries.sum(axis=1) == 0] = 1.0
+    entries[adj._out_degrees == 0] = 1.0
     return AdjacencyMatrix(_adopt(entries), adj.labels)
 
 

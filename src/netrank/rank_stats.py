@@ -33,13 +33,6 @@ class RankStatistic:
     def __post_init__(self):
         object.__setattr__(self, "ranks", _frozen(self.ranks))
 
-    def __eq__(self, other):
-        if not isinstance(other, RankStatistic):
-            return NotImplemented
-        return self.ranks.shape == other.ranks.shape and bool(
-            (self.ranks == other.ranks).all()
-        )
-
 
 def _tie_groups(v: np.ndarray, tie_tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Stable ascending order plus the start and stop positions of tolerance-chained groups."""
@@ -85,13 +78,12 @@ def is_finer(x, y, tie_tol: float = DEFAULT_TIE_TOL) -> bool:
 
 
 def is_identical_rank(x, y, tie_tol: float = DEFAULT_TIE_TOL) -> bool:
-    """True when the rank vectors are equal.
+    """True when each vector's ordering refines the other's.
 
     Average-tie ranks are a function of the ordering alone, so this holds
-    exactly when each vector's ordering refines the other's.
+    exactly when the rank vectors are equal.
     """
-    vx, vy = _pair(x, y)
-    return rank_statistic(vx, tie_tol) == rank_statistic(vy, tie_tol)
+    return is_finer(x, y, tie_tol) and is_finer(y, x, tie_tol)
 
 
 def agreement_count(x, y, tie_tol: float = DEFAULT_TIE_TOL) -> int:

@@ -396,6 +396,61 @@ class TestSweepCommand:
         assert captured.err == f"error: {option}: non-numeric value {token!r}\n"
 
 
+class TestUsageErrors:
+    """Usage errors exit 1, like bad input; exit 2 means only a multiplicity failure."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["pagerank", "{net}", "--alpha", "abc"], "argument --alpha: invalid float value: 'abc'"),
+            (["pagerank"], "the following arguments are required: input"),
+            (["rank", "{net}"], "argument command: invalid choice: 'rank'"),
+        ],
+    )
+    def test_usage_error_exits_one(self, four_node_file, capsys, argv, message):
+        assert main([a.format(net=four_node_file) for a in argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: netrank")
+        assert f"error: {message}" in captured.err
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["pagerank", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: netrank pagerank")
+
+    @pytest.mark.parametrize("value", ["nan", "-1", "-0.5"])
+    @pytest.mark.parametrize("command", ["pagerank", "markovrank", "compare", "sweep"])
+    def test_tie_tol_must_be_non_negative(self, four_node_file, capsys, command, value):
+        files = [four_node_file] * (2 if command == "compare" else 1)
+        assert main([command, *files, "--tie-tol", value]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(
+            f"error: argument --tie-tol: must be a non-negative number, got {value!r}\n"
+        )
+
+    @pytest.mark.parametrize("value", ["0", "1e-9", "inf"])
+    def test_tie_tol_zero_and_positive_accepted(self, tmp_path, capsys, value):
+        # the 3-node path: the two end nodes score exactly alike
+        path = tmp_path / "path.csv"
+        path.write_text("0,1,0\n1,0,1\n0,1,0\n")
+        assert main(["pagerank", str(path), "--tie-tol", value]) == 0
+        ranks = [r["rank"] for r in csv.DictReader(io.StringIO(capsys.readouterr().out))]
+        assert ranks == (["1.5", "3", "1.5"] if value != "inf" else ["2", "2", "2"])
+
+    @pytest.mark.parametrize("option, value", [("--roster", "r.csv"), ("--edge-cols", "a,b")])
+    @pytest.mark.parametrize("command", ["pagerank", "markovrank", "sweep"])
+    def test_edgelist_options_need_edgelist_format(
+        self, four_node_file, capsys, command, option, value
+    ):
+        assert main([command, four_node_file, "--format", "dense", option, value]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {option} applies to --format edgelist only\n"
+
+
 class TestEdgeListInputs:
     def test_edgelist_with_roster(self, tmp_path, capsys):
         edges = tmp_path / "edges.csv"
@@ -491,6 +546,11 @@ class TestModuleEntryPoint:
         result = self.run_module("markovrank", path, "--epsilon", "0")
         assert result.returncode == 2
         assert "multiplicity of the eigenvalue 1 is not one" in result.stderr
+
+    def test_usage_error_exits_one(self):
+        result = self.run_module("pagerank")
+        assert result.returncode == 1
+        assert "error: the following arguments are required: input" in result.stderr
 
     def test_cli_module_runs_the_cli(self, tmp_path):
         result = self.run_module("pagerank", str(tmp_path / "missing.csv"), module="netrank.cli")

@@ -10,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 from netrank import (
     AdjacencyMatrix,
     PowerIterConfig,
+    augment_adjacency,
     load_dense_matrix,
     load_edge_list,
     markovrank,
@@ -18,6 +19,7 @@ from netrank import (
     read_dense_csv,
     read_edge_list_csv,
     read_roster_csv,
+    transition_from_patched,
 )
 
 import golden
@@ -444,6 +446,56 @@ class TestDegrees:
     def test_six_node_degrees(self):
         np.testing.assert_array_equal(golden.EX1.entries.sum(axis=1), golden.EX1_OUT)
         np.testing.assert_array_equal(golden.EX1.entries.sum(axis=0), golden.EX1_IN)
+
+
+def weighted_with_zero_rows(seed, n=30, order="C"):
+    rng = np.random.default_rng(seed)
+    entries = rng.random((n, n)) * (rng.random((n, n)) < 0.3)
+    entries[rng.random(n) < 0.3] = 0.0
+    return AdjacencyMatrix.from_entries(np.asarray(entries, order=order))
+
+
+EDGES = [("a", "b"), ("b", "c"), ("c", "a"), ("a", "c"), ("a", "b")]
+DEGREE_NETWORKS = {
+    **{
+        name: getattr(golden, name)
+        for name in ("FOUR_NODE", "FOUR_NODE_ZERO_ROW", "EX1", "EX_A", "EX_B", "EX_C", "EX_D")
+    },
+    **{f"weighted_{seed}": weighted_with_zero_rows(seed) for seed in range(3)},
+    "weighted_f_order": weighted_with_zero_rows(3, order="F"),
+    "augmented": augment_adjacency(patch_zero_rows(weighted_with_zero_rows(4)), 0.3),
+    "edge_list": load_edge_list(EDGES),
+    "edge_list_with_isolated_roster_nodes": load_edge_list(EDGES, ["x", "a", "y", "b", "c"]),
+}
+
+
+@pytest.mark.parametrize("name", DEGREE_NETWORKS)
+def test_out_degrees_are_the_row_sums(name):
+    adj = DEGREE_NETWORKS[name]
+    assert adj._out_degrees.tobytes() == adj.entries.sum(axis=1).tobytes()
+    dense = AdjacencyMatrix(adj.entries, adj.labels)
+    assert dense._out_degrees.tobytes() == adj._out_degrees.tobytes()
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("name", DEGREE_NETWORKS)
+def test_degree_readers_match_row_sum_formulas(name, eps):
+    # the oracles: each function's formula when it summed the rows itself
+    adj = DEGREE_NETWORKS[name]
+    entries = adj.entries.copy()
+    entries[entries.sum(axis=1) == 0] = 1.0
+    patched = patch_zero_rows(adj)
+    assert patched.entries.tobytes() == entries.tobytes()
+    for base in (patched, adj) if (adj.entries.sum(axis=1) > 0).all() else (patched,):
+        rowsums = base.entries.sum(axis=1)
+        chain = transition_from_patched(base).entries
+        assert chain.tobytes() == (base.entries.T / rowsums).tobytes()
+        n = base.n
+        hub = np.zeros((n + 1, n + 1))
+        hub[:n, :n] = base.entries
+        hub[:n, n] = 0.5 * eps * rowsums / rowsums.sum()
+        hub[n, :n] = 1.0
+        assert augment_adjacency(base, eps).entries.tobytes() == hub.tobytes()
 
 
 class TestPatchZeroRows:
