@@ -85,7 +85,7 @@ def _run_ranking(args, solve) -> int:
 
 
 def _read_score_csv(path) -> tuple[list[str], list[float]]:
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+    with graph_core._open_csv(path) as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or not {"label", "score"} <= set(reader.fieldnames):
             raise ValueError(f"{path}: score file needs 'label' and 'score' columns")
@@ -159,8 +159,8 @@ def cmd_gen(args) -> int:
         adj = experiments.gen_block(
             parse_block_spec(args.blocks, args.zero_diagonal, args.seed)
         )
-    with open(args.out, "w", encoding="utf-8") as fh:
-        np.savetxt(fh, adj.entries, fmt="%g", delimiter=",")
+    with open(args.out, "wb") as fh:
+        fh.write(graph_core._digit_grid_bytes(adj.entries))
     return EXIT_OK
 
 

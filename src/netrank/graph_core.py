@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import csv
+import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
@@ -168,12 +170,17 @@ def load_dense_matrix(text: str) -> AdjacencyMatrix:
     node labels (default "1".."n").  A bad header, a ragged or non-square
     grid and a non-numeric entry are rejected with their line number.
     Numbers are whatever float() accepts; numpy converts the grid in one pass.
+    A grid in the layout `netrank gen` writes is read as bytes instead, with
+    the same result (see _digit_grid).
     """
     return _load_dense(text, "dense matrix input")
 
 
 def _load_dense(text: str, source: str) -> AdjacencyMatrix:
     """load_dense_matrix, naming `source` and the line in its errors."""
+    digits = _digit_grid(text)
+    if digits is not None:
+        return AdjacencyMatrix(_adopt(digits), default_labels(len(digits)))
     numbered = [(i, _split_row(line)) for i, line in enumerate(_lines(text), 1) if line.strip()]
     at, rows = [i for i, _ in numbered], [row for _, row in numbered]  # rows[k] is on line at[k]
     if not rows:
@@ -206,6 +213,38 @@ def _load_dense(text: str, source: str) -> AdjacencyMatrix:
     return AdjacencyMatrix(_adopt(entries), labels)
 
 
+def _digit_grid(text: str) -> Optional[np.ndarray]:
+    r"""The entries of a text in gen's layout, or None for the general parser.
+
+    The layout is n lines "d,d,...,d\n" of n cells, each one ASCII digit;
+    \r\n may end a line and the last line break may be missing.  It is
+    checked by stride over the bytes, with no per-token work.  float() reads
+    each cell as its digit, so the general parser gives the same grid.
+    """
+    if not text.isascii():
+        return None
+    data = text.encode("ascii").replace(b"\r\n", b"\n")
+    if not data.endswith(b"\n"):
+        data += b"\n"
+    n = math.isqrt(len(data) // 2)
+    if 2 * n * n != len(data):
+        return None
+    grid = np.frombuffer(data, np.uint8).reshape(n, 2 * n)
+    digits = grid[:, ::2] - ord("0")  # a byte below "0" wraps past 9
+    if ((digits > 9).any() or (grid[:, 1:-1:2] != ord(",")).any()
+            or (grid[:, -1] != ord("\n")).any()):
+        return None
+    return digits.astype(float)
+
+
+def _digit_grid_bytes(entries: np.ndarray) -> bytes:
+    """gen's layout of one-digit entries: the bytes np.savetxt(fmt="%g", delimiter=",") writes."""
+    grid = np.full((entries.shape[0], 2 * entries.shape[1]), ord(","), np.uint8)
+    grid[:, ::2] = entries.astype(np.uint8) + ord("0")
+    grid[:, -1] = ord("\n")
+    return grid.tobytes()
+
+
 def patch_zero_rows(adj: AdjacencyMatrix) -> AdjacencyMatrix:
     """Replace every all-zero row by an all-ones row (diagonal included).
 
@@ -217,9 +256,20 @@ def patch_zero_rows(adj: AdjacencyMatrix) -> AdjacencyMatrix:
     return AdjacencyMatrix(_adopt(entries), adj.labels)
 
 
+@contextmanager
+def _open_csv(path):
+    """Open a CSV file to read as UTF-8, a leading BOM skipped; a decoding error names the file."""
+    try:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def read_dense_csv(path) -> AdjacencyMatrix:
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        return _load_dense(fh.read(), str(path))
+    with _open_csv(path) as fh:
+        text = fh.read()
+    return _load_dense(text, str(path))
 
 
 def read_edge_list_csv(
@@ -233,7 +283,7 @@ def read_edge_list_csv(
     A row too short to reach either column, or with either field empty, is
     rejected with its line number.
     """
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+    with _open_csv(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
@@ -270,7 +320,7 @@ def read_roster_csv(path) -> list[str]:
     A row too short to reach that column, with it empty, or repeating an
     earlier name is rejected with its line number.
     """
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+    with _open_csv(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or "screen_name" not in header:

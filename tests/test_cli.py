@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from netrank import experiments
-from netrank.cli import main
+from netrank.cli import main, parse_block_spec
 
 import golden
 
@@ -314,6 +314,33 @@ class TestGenCommand:
             scores, pagerank(gen_er(12, 0.4, 9), 0.85).values, atol=1e-9
         )
 
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    @pytest.mark.parametrize(
+        "args, model",
+        [
+            (["--model", "er", "--n", "1", "--p", "1"],
+             lambda seed: experiments.gen_er(1, 1.0, seed)),
+            (["--model", "er", "--n", "9", "--p", "0"],
+             lambda seed: experiments.gen_er(9, 0.0, seed)),
+            (["--model", "er", "--n", "9", "--p", "1"],
+             lambda seed: experiments.gen_er(9, 1.0, seed)),
+            (["--model", "er", "--n", "40", "--p", "0.3"],
+             lambda seed: experiments.gen_er(40, 0.3, seed)),
+            (["--model", "block", "--blocks", "1x1@1", "--no-zero-diagonal"],
+             lambda seed: experiments.gen_block(parse_block_spec("1x1@1", False, seed))),
+            (["--model", "block", "--blocks", "20x20@0.5,20x5@0;5x20@0.2,5x5@1"],
+             lambda seed: experiments.gen_block(
+                 parse_block_spec("20x20@0.5,20x5@0;5x20@0.2,5x5@1", True, seed))),
+        ],
+        ids=["er-n1", "er-p0", "er-p1", "er", "block-n1", "block"],
+    )
+    def test_output_bytes_are_savetxt(self, tmp_path, args, model, seed):
+        out = tmp_path / "g.csv"
+        assert main(["gen", *args, "--seed", str(seed), "--out", str(out)]) == 0
+        oracle = io.BytesIO()
+        np.savetxt(oracle, model(seed).entries, fmt="%g", delimiter=",")
+        assert out.read_bytes() == oracle.getvalue()
+
     def test_bad_block_spec_exits_one(self, tmp_path, capsys):
         assert main([
             "gen", "--model", "block", "--blocks", "junk", "--out", str(tmp_path / "x.csv"),
@@ -518,6 +545,41 @@ class TestEdgeListInputs:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {files[bad]}, {problem}\n"
+
+
+class TestUndecodableInput:
+    GOOD = {
+        "dense": "0,1\n1,0\n",
+        "edges": "following,followed\na,b\nb,a\n",
+        "roster": "screen_name\na\nb\n",
+        "scores": "label,score\na,0.5\nb,0.5\n",
+    }
+
+    @pytest.mark.parametrize(
+        "bad, data, argv",
+        [
+            ("dense", b"0,1\n\xff,0\n", ["pagerank", "{dense}"]),
+            ("dense", b"0,1\n\xff,0\n", ["sweep", "{dense}"]),
+            ("edges", b"following,followed\na,b\n\xff,a\n",
+             ["pagerank", "{edges}", "--format", "edgelist"]),
+            ("roster", b"screen_name\na\n\xffb\n",
+             ["markovrank", "{edges}", "--format", "edgelist", "--roster", "{roster}"]),
+            ("scores", b"label,score\na,0.5\n\xff,0.5\n", ["compare", "{scores}", "{scores}"]),
+        ],
+        ids=["dense", "dense-sweep", "edges", "roster", "scores"],
+    )
+    def test_decoding_error_names_the_file(self, tmp_path, capsys, bad, data, argv):
+        files = {name: tmp_path / f"{name}.csv" for name in self.GOOD}
+        for name, text in self.GOOD.items():
+            files[name].write_text(text)
+        files[bad].write_bytes(data)
+        assert main([a.format(**files) for a in argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {files[bad]}: 'utf-8' codec can't decode byte 0xff "
+            f"in position {data.index(0xFF)}: invalid start byte\n"
+        )
 
 
 class TestModuleEntryPoint:

@@ -21,6 +21,7 @@ from netrank import (
     read_roster_csv,
     transition_from_patched,
 )
+from netrank.graph_core import _digit_grid
 
 import golden
 
@@ -430,6 +431,70 @@ def test_numpy_conversion_matches_float(token):
         return
     got = np.array([[token]], dtype=float)[0, 0]
     assert got == expected or (np.isnan(got) and np.isnan(expected))
+
+
+def assert_same_adjacency(got, expected):
+    assert got.labels == expected.labels
+    assert got.entries.dtype == expected.entries.dtype == np.float64
+    assert got.entries.shape == expected.entries.shape
+    assert got.entries.tobytes() == expected.entries.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 31, 32, 33, 100])
+@pytest.mark.parametrize(
+    "end, last", [("\n", "\n"), ("\n", ""), ("\r\n", "\r\n"), ("\r\n", "")],
+    ids=["lf", "lf-no-final", "crlf", "crlf-no-final"],
+)
+def test_digit_grid_matches_the_general_parser(tmp_path, n, end, last):
+    digits = np.random.default_rng(n).integers(0, 10, (n, n))
+    full = "".join(",".join(map(str, row)) + end for row in digits)
+    text = full[: len(full) - len(end)] + last
+    oracle = full + end  # a trailing blank line: the shortcut refuses it
+    assert _digit_grid(text) is not None
+    assert _digit_grid(oracle) is None
+    expected = load_dense_matrix(oracle)
+    np.testing.assert_array_equal(expected.entries, digits)
+    assert_same_adjacency(load_dense_matrix(text), expected)
+    path = tmp_path / "grid.csv"
+    path.write_bytes(text.encode("ascii"))
+    assert_same_adjacency(read_dense_csv(path), expected)
+
+
+# Near misses of gen's layout, with what the general parser made of them
+# before the shortcut existed: entries and labels, or the error message.
+OFF_LAYOUT = [
+    ("a,b,c\n0,1,0\n1,0,1\n", "dense matrix input, line 2: dense matrix must be square, got 2x3"),
+    ("0, 1\n1,0\n", ([[0, 1], [1, 0]], ("1", "2"))),
+    ('"0",1\n1,0\n', ([[0, 1], [1, 0]], ("1", "2"))),
+    ("10,1\n1,0\n", ([[10, 1], [1, 0]], ("1", "2"))),
+    ("0.5,1\n1,0\n", ([[0.5, 1], [1, 0]], ("1", "2"))),
+    ("١,1\n1,0\n", ([[1, 1], [1, 0]], ("1", "2"))),
+    ("0,1\r1,0\n", ([[0, 1], [1, 0]], ("1", "2"))),
+    ("0,1\n\n1,0\n", ([[0, 1], [1, 0]], ("1", "2"))),
+    ("0,1\n1\n", "dense matrix input, line 2: ragged row of width 1, where line 1 has width 2"),
+    ("0,1,0\n1,0,1\n", "dense matrix input, line 1: dense matrix must be square, got 2x3"),
+    ("0,1\n1,0\n1,1\n", "dense matrix input, line 3: dense matrix must be square, got 3x2"),
+    ("", "dense matrix input: empty dense matrix"),
+    ("0 1\n1 0\n", ([[0, 1], [1, 0]], ("1", "2"))),
+]
+
+
+@pytest.mark.parametrize(
+    "text, expected", OFF_LAYOUT,
+    ids=["header", "space", "quoted", "two-digit", "decimal", "non-ascii", "lone-cr",
+         "blank-inner-line", "ragged", "n-by-n+1", "n+1-by-n", "empty", "whitespace"],
+)
+def test_off_layout_grids_keep_the_general_parser(text, expected):
+    assert _digit_grid(text) is None
+    if isinstance(expected, str):
+        with pytest.raises(ValueError) as info:
+            load_dense_matrix(text)
+        assert str(info.value) == expected
+    else:
+        entries, labels = expected
+        adj = load_dense_matrix(text)
+        np.testing.assert_array_equal(adj.entries, entries)
+        assert adj.labels == labels
 
 
 class TestDegrees:
