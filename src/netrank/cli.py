@@ -86,24 +86,28 @@ def _run_ranking(args, solve) -> int:
 
 def _read_score_csv(path) -> tuple[list[str], list[float]]:
     with graph_core._open_csv(path) as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or not {"label", "score"} <= set(reader.fieldnames):
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or not {"label", "score"} <= set(header):
             raise ValueError(f"{path}: score file needs 'label' and 'score' columns")
+        # a repeated column name means its last occurrence, as in csv.DictReader
+        column = {name: i for i, name in enumerate(header)}
+        a, b = column["label"], column["score"]
         first_line: dict[str, int] = {}  # label -> line, in file order
         scores = []
         for row in reader:
+            if not row:  # blank rows are skipped
+                continue
             where = f"{path}, line {reader.line_num}"
-            label = row["label"]
-            if label is None:
+            if a >= len(row):
                 raise ValueError(f"{where}: row has no label")
+            label, score = row[a], row[b] if b < len(row) else None
             try:
-                scores.append(float(row["score"]))
+                scores.append(float(score))
             except (TypeError, ValueError):
-                raise ValueError(
-                    f"{where}: missing or non-numeric score {row['score']!r}"
-                ) from None
+                raise ValueError(f"{where}: missing or non-numeric score {score!r}") from None
             if not np.isfinite(scores[-1]):
-                raise ValueError(f"{where}: non-finite score {row['score']!r}")
+                raise ValueError(f"{where}: non-finite score {score!r}")
             if label in first_line:
                 raise ValueError(
                     f"{where}: repeats label {label!r} (first on line {first_line[label]})"

@@ -4,11 +4,14 @@ The exact method finds the eigenvalue-1 eigenspace of a column-stochastic
 matrix as the null space of (M - I) by Gaussian elimination with a pivot
 threshold; because eigenvalue 1 of a stochastic matrix is semisimple, the
 null-space dimension equals the eigenvalue's multiplicity.  The elimination
-is blocked like LAPACK's getrf: a 32-column panel is factored without row
-swaps when the pivot rule, checked with a margin, would make none, and
-column by column otherwise, so every decision is that of the plain
-column-by-column elimination.  Exact rankings eliminate in the one n x n
-array where they build the damped chain.  The power method iterates
+is blocked on two levels like LAPACK's getrf: a 32-column panel is factored
+without row swaps when the pivot rule, checked with a margin, would make
+none, and column by column otherwise, so every decision is still that of
+the plain column-by-column elimination; its pivots update only the rest of
+its 128-column block, and each block's pivots reach the columns beyond it
+in one product, its pivot rows solved by forward substitution over its
+panels.  Exact rankings eliminate in the one n x n array where they build
+the damped chain.  The power method iterates
 x_k = M x_{k-1} to the same fixed point on regular chains; rankings apply
 the damped M from the adjacency's edges.
 
@@ -123,9 +126,11 @@ class PowerIterConfig:
             raise ValueError("max_iterations must be at least 1")
 
 
-# Columns per panel of the blocked elimination in eigenvalue_one_space: the
-# in-panel rank-1 updates grow with the width, the matrix products do not.
+# Columns per panel and per block of the blocked elimination in
+# eigenvalue_one_space: the in-panel rank-1 updates grow with the panel, the
+# matrix products of a block with its width.
 _PANEL = 32
+_BLOCK = 4 * _PANEL
 
 
 def eigenvalue_one_space(matrix: TransitionMatrix) -> EigenSpace:
@@ -137,22 +142,26 @@ def eigenvalue_one_space(matrix: TransitionMatrix) -> EigenSpace:
     must be before the ranking is reported as ill-defined.  When the nullity
     is 1 the basis vector is returned unnormalized (arbitrary sign and scale).
 
-    The elimination is blocked, as in LAPACK's getrf, in panels of 32
-    columns.  M - I has zero column sums and is column diagonally dominant,
-    and its Schur complements stay so (the structure of GTH elimination:
-    Grassmann, Taksar & Heyman, Oper. Res. 33(5), 1985), so partial pivoting
-    nearly always takes the diagonal row.  A panel is therefore first
-    factored without row swaps, and kept only if the pivot rule, checked
-    with a margin, would take each diagonal row and free no column.  Every
-    other panel (ties such as single-out-link nodes at alpha = 1, pivots
-    near the threshold) and always the last is eliminated column by column:
-    pivot search, full-row swap and a rank-1 update of the panel's columns
-    only.  The panel's pivots then reach every other non-pivot column (the
-    columns right of the panel and the free columns left of it) by the
-    inverse of their unit lower triangle and one matrix product.  Each
-    pivot is still chosen from fully updated values, so the pivot rule, and
-    with it the nullity and every MultiplicityError, is that of the
-    unblocked elimination.
+    The elimination is blocked on two levels, as in LAPACK's getrf (Toledo,
+    SIAM J. Matrix Anal. Appl. 18(4), 1997): blocks of 128 columns, each
+    made of four panels of 32.  M - I has zero column sums and is column
+    diagonally dominant, and its Schur complements stay so (the structure of
+    GTH elimination: Grassmann, Taksar & Heyman, Oper. Res. 33(5), 1985), so
+    partial pivoting nearly always takes the diagonal row.  A panel is
+    therefore first factored without row swaps, and kept only if the pivot
+    rule, checked with a margin, would take each diagonal row and free no
+    column.  Every other panel (ties such as single-out-link nodes at
+    alpha = 1, pivots near the threshold) and always the last is eliminated
+    column by column: pivot search, a swap of whole rows of U and of the
+    block's multipliers, and a rank-1 update of the panel's columns only.
+    The panel's pivots then reach the block's later columns and the free
+    columns found earlier in the block, by the inverse of their 32 x 32 unit
+    lower triangle and one matrix product.  At the end of the block its
+    pivots reach the columns right of it and the free columns left of it in
+    one product of rank up to 128; its pivot rows are solved by block forward
+    substitution with the panels' inverses.  Each pivot is still chosen from
+    fully updated values, so every decision, and with it the nullity and
+    every MultiplicityError, is that of the unblocked column loop.
     """
     return _eliminate(matrix.entries.copy())
 
@@ -165,35 +174,43 @@ def _eliminate(U: np.ndarray) -> EigenSpace:
     m = U.shape[0]
     threshold = PIVOT_TOL * m
     np.fill_diagonal(U, U.diagonal() - 1.0)  # M - I without an m x m identity
-    L = np.empty((m, _PANEL))  # multipliers of the current panel, by pivot
+    L = np.empty((m, _BLOCK))  # multipliers of the current block, by pivot
     pivot_rows: list[tuple[int, int]] = []
     free: list[int] = []
     r = 0
-    for c0 in range(0, m, _PANEL):
-        c1 = min(c0 + _PANEL, m)
-        r0, free_left = r, list(free)
-        # a unique ranking leaves its free column in the last panel: the column loop finds it
-        if c1 < m and _panel_without_swaps(U, L, r, c0, c1, threshold):
-            pivot_rows += zip(range(r, r + c1 - c0), range(c0, c1))
-            r += c1 - c0
-        else:
-            for c in range(c0, c1):
-                i = int(np.argmax(np.abs(U[r:, c]))) + r
-                if abs(U[i, c]) <= threshold:
-                    free.append(c)
-                    continue
-                if i != r:
-                    U[[r, i]] = U[[i, r]]
-                    L[[r, i], : r - r0] = L[[i, r], : r - r0]
-                L[r + 1 :, r - r0] = U[r + 1 :, c] / U[r, c]
-                # from c0, not c: free columns of this panel keep their updates
-                U[r + 1 :, c0:c1] -= L[r + 1 :, r - r0, None] * U[r, c0:c1]
-                pivot_rows.append((r, c))
-                r += 1
-        if r > r0:
-            if free_left:
-                _apply_panel(U, L, r0, r, free_left)
-            _apply_panel(U, L, r0, r, slice(c1, m))
+    for b0 in range(0, m, _BLOCK):
+        b1 = min(b0 + _BLOCK, m)
+        rb, free_left = r, len(free)
+        panels = []  # (first pivot row, unit lower inverse) of each panel with pivots
+        for c0 in range(b0, b1, _PANEL):
+            c1 = min(c0 + _PANEL, b1)
+            r0, free_here, L_panel = r, free[free_left:], L[:, r - rb :]
+            # a unique ranking leaves its free column in the last panel: the column loop finds it
+            if c1 < m and _panel_without_swaps(U, L_panel, r, c0, c1, threshold):
+                pivot_rows += zip(range(r, r + c1 - c0), range(c0, c1))
+                r += c1 - c0
+            else:
+                for c in range(c0, c1):
+                    i = int(np.argmax(np.abs(U[r:, c]))) + r
+                    if abs(U[i, c]) <= threshold:
+                        free.append(c)
+                        continue
+                    if i != r:
+                        U[[r, i]] = U[[i, r]]
+                        L[[r, i], : r - rb] = L[[i, r], : r - rb]
+                    L[r + 1 :, r - rb] = U[r + 1 :, c] / U[r, c]
+                    # from c0, not c: free columns of this panel keep their updates
+                    U[r + 1 :, c0:c1] -= L[r + 1 :, r - rb, None] * U[r, c0:c1]
+                    pivot_rows.append((r, c))
+                    r += 1
+            if r > r0:
+                k = r - r0
+                panels.append((r0, np.linalg.inv(np.tril(L_panel[r0:r, :k], -1) + np.eye(k))))
+                for cols in (free_here, slice(c1, b1)):
+                    _apply_pivots(U, L_panel, panels[-1:], r0, r, cols)
+        if r > rb:
+            for cols in (free[:free_left], slice(b1, m)):
+                _apply_pivots(U, L, panels, rb, r, cols)
     nullity = m - r
     if nullity != 1:
         return EigenSpace(nullity, None)
@@ -220,40 +237,51 @@ def _panel_without_swaps(
     |l| < 1 - _RULE_MARGIN and every pivot exceeds (1 + _RULE_MARGIN) *
     threshold: the column loop would then take each diagonal row (argmax
     returns the first maximum) and free no column, so the decisions are the
-    same and only the rounding differs.  Kept, the multipliers go to L and
-    the factored block to the panel's rows of U, and it returns True;
-    refused, it returns False and has written nothing.
+    same and only the rounding differs.  Kept, the multipliers go to
+    L[r:, :w] and the factored block to the panel's rows of U, and it
+    returns True; refused, it returns False and has written nothing.
     """
     w = c1 - c0
     block = U[r : r + w, c0:c1].copy()
     top, floor = 1.0 - _RULE_MARGIN, (1.0 + _RULE_MARGIN) * threshold
-    for j in range(w):
-        if not abs(block[j, j]) > floor:
-            return False
-        block[j + 1 :, j] /= block[j, j]
-        if not (np.abs(block[j + 1 :, j]) < top).all():
-            return False
-        block[j + 1 :, j + 1 :] -= np.outer(block[j + 1 :, j], block[j, j + 1 :])
-    below = U[r + w :, c0:c1] @ np.linalg.inv(np.triu(block))
+    # the multipliers are tested after the loop: one past 1 may grow the rest to inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(w):
+            if not abs(block[j, j]) > floor:
+                return False
+            block[j + 1 :, j] /= block[j, j]
+            block[j + 1 :, j + 1 :] -= np.multiply.outer(block[j + 1 :, j], block[j, j + 1 :])
+    upper = np.triu(block)
+    if not (np.abs(block - upper) < top).all():  # the multipliers, zeros elsewhere
+        return False
+    below = U[r + w :, c0:c1] @ np.linalg.inv(upper)
     if not (np.abs(below) < top).all():
         return False
-    L[r : r + w, :w] = block  # _apply_panel reads only its strict lower triangle
+    L[r : r + w, :w] = block  # the solves read only its strict lower triangle
     L[r + w :, :w] = below
     U[r : r + w, c0:c1] = block
     return True
 
 
-def _apply_panel(U: np.ndarray, L: np.ndarray, r0: int, r: int, cols) -> None:
+def _apply_pivots(U: np.ndarray, L: np.ndarray, panels, r0: int, r: int, cols) -> None:
     """Eliminate, in columns `cols` of U, with the pivots of rows r0..r-1.
 
-    L[:, :r - r0] holds their multipliers: the pivot rows take one product
-    with the inverse of their unit lower triangle (for 32 x m right-hand
-    sides, ~10x faster than np.linalg.solve), the rows below another.
+    L[:, :r - r0] holds their multipliers, and `panels` the first row and
+    unit lower inverse of each panel among them.  The pivot rows are solved
+    by block forward substitution, one product with each inverse (for 32 x m
+    right-hand sides, ~10x faster than np.linalg.solve), and the rows below
+    take one product with all the multipliers.
     """
-    k = r - r0
-    top = np.linalg.inv(np.tril(L[r0:r, :k], -1) + np.eye(k)) @ U[r0:r, cols]
+    top = U[r0:r, cols]  # a view for a slice of columns, a copy for a list
+    if not top.size:
+        return
+    for p0, inverse in panels:
+        j, k = p0 - r0, len(inverse)
+        if j:
+            top[j : j + k] -= L[p0 : p0 + k, :j] @ top[:j]
+        top[j : j + k] = inverse @ top[j : j + k]
     U[r0:r, cols] = top
-    U[r:, cols] -= L[r:, :k] @ top
+    U[r:, cols] -= L[r:, : r - r0] @ top
 
 
 def stationary_power(

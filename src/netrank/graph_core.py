@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import codecs
 import csv
 import math
 from contextlib import contextmanager
@@ -176,11 +177,21 @@ def load_dense_matrix(text: str) -> AdjacencyMatrix:
     return _load_dense(text, "dense matrix input")
 
 
-def _load_dense(text: str, source: str) -> AdjacencyMatrix:
-    """load_dense_matrix, naming `source` and the line in its errors."""
-    digits = _digit_grid(text)
+def _load_dense(data: str | bytes, source: str) -> AdjacencyMatrix:
+    """load_dense_matrix of a text or of a file's bytes, naming `source` and the line in its errors.
+
+    Bytes that are not in gen's layout are decoded as UTF-8, a leading BOM
+    skipped, exactly as a file opened with encoding="utf-8-sig" reads.
+    """
+    digits = _digit_grid(data)
     if digits is not None:
         return AdjacencyMatrix(_adopt(digits), default_labels(len(digits)))
+    text = data
+    if isinstance(data, bytes):
+        try:
+            text = codecs.getincrementaldecoder("utf-8-sig")().decode(data, final=True)
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{source}: {exc}") from None
     numbered = [(i, _split_row(line)) for i, line in enumerate(_lines(text), 1) if line.strip()]
     at, rows = [i for i, _ in numbered], [row for _, row in numbered]  # rows[k] is on line at[k]
     if not rows:
@@ -213,17 +224,22 @@ def _load_dense(text: str, source: str) -> AdjacencyMatrix:
     return AdjacencyMatrix(_adopt(entries), labels)
 
 
-def _digit_grid(text: str) -> Optional[np.ndarray]:
-    r"""The entries of a text in gen's layout, or None for the general parser.
+def _digit_grid(data: str | bytes) -> Optional[np.ndarray]:
+    r"""The entries of a text or bytes in gen's layout, or None for the general parser.
 
     The layout is n lines "d,d,...,d\n" of n cells, each one ASCII digit;
-    \r\n may end a line and the last line break may be missing.  It is
-    checked by stride over the bytes, with no per-token work.  float() reads
-    each cell as its digit, so the general parser gives the same grid.
+    \r\n may end a line, the last line break may be missing, and bytes may
+    start with a UTF-8 BOM.  It is checked by stride over the bytes, with no
+    per-token work.  float() reads each cell as its digit, so the general
+    parser gives the same grid.
     """
-    if not text.isascii():
-        return None
-    data = text.encode("ascii").replace(b"\r\n", b"\n")
+    if isinstance(data, str):
+        if not data.isascii():
+            return None
+        data = data.encode("ascii")
+    data = data.removeprefix(codecs.BOM_UTF8)
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n")
     if not data.endswith(b"\n"):
         data += b"\n"
     n = math.isqrt(len(data) // 2)
@@ -267,9 +283,8 @@ def _open_csv(path):
 
 
 def read_dense_csv(path) -> AdjacencyMatrix:
-    with _open_csv(path) as fh:
-        text = fh.read()
-    return _load_dense(text, str(path))
+    with open(path, "rb") as fh:
+        return _load_dense(fh.read(), str(path))
 
 
 def read_edge_list_csv(

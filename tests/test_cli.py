@@ -8,8 +8,8 @@ import sys
 import numpy as np
 import pytest
 
-from netrank import experiments
-from netrank.cli import main, parse_block_spec
+from netrank import experiments, graph_core
+from netrank.cli import _read_score_csv, main, parse_block_spec
 
 import golden
 
@@ -274,6 +274,78 @@ class TestCompareCommand:
         path.write_text("score,label\n0.5,a\n0.5\n")
         assert main(["compare", str(path), str(path)]) == 1
         assert capsys.readouterr().err == f"error: {path}, line 3: row has no label\n"
+
+
+def dict_reader_scores(path):
+    """_read_score_csv through csv.DictReader, as an oracle."""
+    with graph_core._open_csv(path) as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None or not {"label", "score"} <= set(reader.fieldnames):
+            raise ValueError(f"{path}: score file needs 'label' and 'score' columns")
+        first_line, scores = {}, []
+        for row in reader:
+            where = f"{path}, line {reader.line_num}"
+            label = row["label"]
+            if label is None:
+                raise ValueError(f"{where}: row has no label")
+            try:
+                scores.append(float(row["score"]))
+            except (TypeError, ValueError):
+                raise ValueError(
+                    f"{where}: missing or non-numeric score {row['score']!r}"
+                ) from None
+            if not np.isfinite(scores[-1]):
+                raise ValueError(f"{where}: non-finite score {row['score']!r}")
+            if label in first_line:
+                raise ValueError(
+                    f"{where}: repeats label {label!r} (first on line {first_line[label]})"
+                )
+            first_line[label] = reader.line_num
+    if not first_line:
+        raise ValueError(f"{path}: score file has no rows")
+    return list(first_line), scores
+
+
+def score_outcome(read, path):
+    try:
+        return read(path)
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        "\ufefflabel,score\na,0.25\nb,0.75\n".encode(),
+        b"label,score\r\na,0.25\r\nb,0.75\r\n",
+        b"label,score\na,0.25\nb,0.75",
+        b"label,score\na,0.25\nb,\xff\n",
+        "label,score\na,\u0661\u0662\nb,1\n".encode(),
+        b"score,label\n0.5,a\n0.5\n",
+        b"label,score\na\n",
+        b"label,x,score\na,1\n",
+        b"label,score\na,0.5,extra\n",
+        b"label,score,label\nq,0.5,a\nr,0.25,b\n",
+        b"score,label,score\n1,a,0.5\n2,b\n",
+        b"label,score\n\na,0.5\n\n\nb,0.5\n",
+        b'label,score\n"a\nb",0.5\nc,x\n',
+        b'label,score\n"a\nb",0.5\nc,0.5\n"a\nb",1\n',
+        b"label,score\n,0.5\n",
+        b"label,score\na,nan\n",
+        b"",
+        b"\nlabel,score\na,1\n",
+        b"label,score\n",
+        b"label,value\na,1\n",
+    ],
+    ids=["bom", "crlf", "no-final", "non-utf8", "arabic-indic-digits", "short-no-label",
+         "short-no-score", "short-before-score", "long-row", "repeated-label-column",
+         "repeated-score-column", "blank-rows", "quoted-newline", "repeat-after-quoted-newline",
+         "empty-label", "nan", "empty", "blank-header-line", "header-only", "missing-column"],
+)
+def test_score_reader_matches_dict_reader(tmp_path, data):
+    path = tmp_path / "scores.csv"
+    path.write_bytes(data)
+    assert score_outcome(_read_score_csv, path) == score_outcome(dict_reader_scores, path)
 
 
 class TestGenCommand:

@@ -28,6 +28,7 @@ from netrank import (
 )
 from netrank import eigenrank
 from netrank.eigenrank import (
+    _BLOCK,
     _PANEL,
     PIVOT_TOL,
     EigenSpace,
@@ -52,34 +53,41 @@ def augmented_chain_ranking(adj, eps):
     return _normalize_scores(space.vector[: adj.n], adj.labels)
 
 
-def unblocked_null_space(matrix):
+def unblocked_elimination(matrix):
     """The column-by-column threshold elimination, as an oracle for the blocked one.
 
     The pivot rule alone (partial pivoting, a column skipped when its best
     pivot is at most PIVOT_TOL*m), with each pivot's rank-1 update applied
-    to whole rows at once: no panels and no swap-free shortcut.
+    to whole rows at once: no panels, no blocks and no swap-free shortcut.
+    Returns the eliminated U, the (row, column) of each pivot, the row each
+    pivot was swapped in from, and the free columns.
     """
     m = matrix.m
     threshold = PIVOT_TOL * m
     U = matrix.entries - np.eye(m)
-    pivot_rows = []
+    pivot_rows, swapped_from, free = [], [], []
     r = 0
     for c in range(m):
         i = int(np.argmax(np.abs(U[r:, c]))) + r
         if abs(U[i, c]) <= threshold:
+            free.append(c)
             continue
         if i != r:
             U[[r, i]] = U[[i, r]]
         U[r + 1 :] -= (U[r + 1 :, c] / U[r, c])[:, None] * U[r]
         pivot_rows.append((r, c))
+        swapped_from.append(i)
         r += 1
-    nullity = m - r
-    if nullity != 1:
-        return EigenSpace(nullity, None)
-    pivot_cols = {c for _, c in pivot_rows}
-    free = next(c for c in range(m) if c not in pivot_cols)
-    x = np.zeros(m)
-    x[free] = 1.0
+    return U, pivot_rows, swapped_from, free
+
+
+def unblocked_null_space(matrix):
+    """eigenvalue_one_space by unblocked_elimination."""
+    U, pivot_rows, _, free = unblocked_elimination(matrix)
+    if len(free) != 1:
+        return EigenSpace(len(free), None)
+    x = np.zeros(matrix.m)
+    x[free[0]] = 1.0
     for row, c in reversed(pivot_rows):
         x[c] = -(U[row] @ x) / U[row, c]
     return EigenSpace(1, x)
@@ -528,7 +536,7 @@ def eliminator_chain(family, m, seed=0):
     return TransitionMatrix(_column_stochastic(entries))
 
 
-ELIMINATOR_SIZES = [1, 2, 3, 63, 64, 65, 127, 128, 129, 300]
+ELIMINATOR_SIZES = [1, 2, 3, 63, 64, 65, 127, 128, 129, 255, 256, 257, 300, 400]
 ELIMINATOR_FAMILIES = ["irreducible", "two_classes", "transient", "permuted_transient", "bipartite"]
 ELIMINATOR_ALPHAS = [1.0, 1 - 1e-9, 1 - 1e-6, 1 - 1e-4, 0.99, 0.85]
 ELIMINATOR_EPSILONS = [0.0, 1e-12, 1e-4, 1.0]
@@ -555,6 +563,22 @@ def test_blocked_elimination_matches_unblocked(m, family):
     base = eliminator_chain(family, m, seed=m)
     for alpha in ELIMINATOR_ALPHAS:
         assert_same_null_space(damped_transition(base, alpha), alpha)
+
+
+@pytest.mark.parametrize("m", [m for m in ELIMINATOR_SIZES if m > _BLOCK and m % _BLOCK])
+def test_eliminator_sizes_reach_every_level_of_blocking(m):
+    """At alpha = 1 the two-class chain frees a column in an earlier block and
+    then swaps rows in panels with more of their block still to come, so the
+    block's product solves its pivot rows over a swapped panel; and m ends in
+    a partial block."""
+    chain = damped_transition(eliminator_chain("two_classes", m, seed=m), 1.0)
+    _, pivot_rows, swapped_from, free = unblocked_elimination(chain)
+    last = (m - 1) // _BLOCK
+    assert any(c // _BLOCK < last for c in free)
+    assert any(
+        i != r and c // _BLOCK < last and c % _BLOCK < _BLOCK - _PANEL
+        for (r, c), i in zip(pivot_rows, swapped_from)
+    )
 
 
 @pytest.mark.parametrize("m", [m for m in ELIMINATOR_SIZES if m > 1])
@@ -591,7 +615,7 @@ ORACLE_NETWORKS = {
     "two_classes": two_class_network,
     "single_out_link_cycle": single_out_link_cycle,
 }
-ORACLE_SIZES = [1, 2, 31, 32, 33, 64, 65, 100]
+ORACLE_SIZES = [1, 2, 31, 32, 33, 64, 65, 100, 127, 128, 129, 255, 256, 257, 400]
 ORACLE_ALPHAS = [0.5, 0.85, 0.99, 1 - 1e-3, 1 - 1e-4, 1 - 1e-5, 1.0]
 
 

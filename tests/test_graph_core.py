@@ -21,7 +21,7 @@ from netrank import (
     read_roster_csv,
     transition_from_patched,
 )
-from netrank.graph_core import _digit_grid
+from netrank.graph_core import _digit_grid, _load_dense
 
 import golden
 
@@ -495,6 +495,57 @@ def test_off_layout_grids_keep_the_general_parser(text, expected):
         adj = load_dense_matrix(text)
         np.testing.assert_array_equal(adj.entries, entries)
         assert adj.labels == labels
+
+
+def text_read_dense(path):
+    """read_dense_csv as it read before it took bytes: the file decoded first, as an oracle."""
+    try:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return _load_dense(text, str(path))
+
+
+def dense_outcome(read, path):
+    try:
+        adj = read(path)
+    except ValueError as exc:
+        return str(exc)
+    return adj.labels, adj.entries.shape, adj.entries.tobytes()
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        b"\xef\xbb\xbf0,1\n1,0\n",
+        b"\xef\xbb\xbf\xef\xbb\xbf0,1\n1,0\n",
+        b"\xef\xbb\xbfa,b\n0,1\n1,0\n",
+        b"0,1\r\n1,0\r\n",
+        b"0,1\r\n1,0",
+        b"0,1\n1,0",
+        b"0,1\r1,0\r",
+        b"0,1\n1,0\n\n",
+        b"0,1\n1,\xff\n",
+        b"\xef\xbb\xbf0,\xe9\n1,0\n",
+        b"\xef\xbb",
+        b"",
+        "\u0661\u0662,0\n0,1\n".encode(),
+        "\u0661,0\n0,1\n".encode("utf-16"),
+        b"0,1\n1\n",
+        b"0,1,0\n1,0,1\n",
+        b"x,y,x\n0,1,0\n1,0,1\n0,1,0\n",
+        b"a,b\n0,1\n",
+    ],
+    ids=["bom", "bom-twice", "bom-header", "crlf", "crlf-no-final", "no-final", "lone-cr",
+         "blank-last-line", "non-utf8", "bom-non-utf8", "truncated-bom", "empty",
+         "arabic-indic-digits", "utf16", "short-row", "not-square", "repeated-header-column",
+         "header-short-grid"],
+)
+def test_dense_file_reader_matches_decoding_first(tmp_path, data):
+    path = tmp_path / "grid.csv"
+    path.write_bytes(data)
+    assert dense_outcome(read_dense_csv, path) == dense_outcome(text_read_dense, path)
 
 
 class TestDegrees:
