@@ -54,25 +54,24 @@ def _emit(text: str, output: Optional[str]):
 
 
 def _format_scores(scores: ScoreVector, ranks, out_format: str) -> str:
-    rows = zip(scores.labels, scores.values, ranks)
     if out_format == "json":
         records = [
             {"label": label, "score": float(f"{s:.10g}"), "rank": float(r)}
-            for label, s, r in rows
+            for label, s, r in zip(scores.labels, scores.values, ranks)
         ]
         return json.dumps(records, indent=2) + "\n"
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["label", "score", "rank"])
-    for label, s, r in rows:
-        writer.writerow([label, f"{s:.10g}", f"{r:g}"])
+    score_texts = map("{:.10g}".format, scores.values.tolist())
+    writer.writerows(zip(scores.labels, score_texts, map("{:g}".format, ranks.tolist())))
     return out.getvalue()
 
 
-def _run_ranking(args, solve) -> int:
+def _run_ranking(args) -> int:
     adj = _load_network(args)
     cfg = PowerIterConfig(tolerance=args.tol, max_iterations=args.max_iter)
-    scores = solve(adj, cfg)
+    scores = args.rank(adj, args.param, args.method, cfg)
     if scores.degenerate:
         print(
             "WARN: degenerate scores (some value <= 1e-12 or negative); "
@@ -125,13 +124,9 @@ def cmd_compare(args) -> int:
         raise ValueError("score files cover different label sets")
     by_label = dict(zip(labels_b, scores_b))
     scores_b = [by_label[l] for l in labels_a]
-    tol = args.tie_tol
-    a_finer_b = rank_stats.is_finer(scores_a, scores_b, tol)
-    b_finer_a = rank_stats.is_finer(scores_b, scores_a, tol)
-    print(f"agreement_count: {rank_stats.agreement_count(scores_a, scores_b, tol)}")
-    print(f"identical: {str(a_finer_b and b_finer_a).lower()}")
-    print(f"a_finer_b: {str(a_finer_b).lower()}")
-    print(f"b_finer_a: {str(b_finer_a).lower()}")
+    relations = rank_stats.compare(scores_a, scores_b, args.tie_tol)
+    for name, value in zip(("agreement_count", "identical", "a_finer_b", "b_finer_a"), relations):
+        print(f"{name}: {str(value).lower()}")
     return EXIT_OK
 
 
@@ -233,25 +228,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("pagerank", help="damped ranking")
-    _add_ranking_options(p)
-    p.add_argument("--alpha", type=float, default=0.85)
-    p.set_defaults(
-        run=lambda args: _run_ranking(
-            args,
-            lambda adj, cfg: pagerank(adj, args.alpha, method=args.method, cfg=cfg),
-        )
-    )
-
-    p = sub.add_parser("markovrank", help="augmented-chain ranking")
-    _add_ranking_options(p)
-    p.add_argument("--epsilon", type=float, default=1.0)
-    p.set_defaults(
-        run=lambda args: _run_ranking(
-            args,
-            lambda adj, cfg: markovrank(adj, args.epsilon, method=args.method, cfg=cfg),
-        )
-    )
+    for name, help_text, rank, flag, default in (
+        ("pagerank", "damped ranking", pagerank, "--alpha", 0.85),
+        ("markovrank", "augmented-chain ranking", markovrank, "--epsilon", 1.0),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        _add_ranking_options(p)
+        p.add_argument(flag, dest="param", metavar=flag[2:].upper(), type=float, default=default)
+        p.set_defaults(run=_run_ranking, rank=rank)
 
     p = sub.add_parser("compare", help="compare two score CSV files")
     p.add_argument("file_a")

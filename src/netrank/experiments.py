@@ -181,20 +181,9 @@ def _sweep_family(family, solve, grid, baseline_param, tie_tol):
                 SweepRecord(family, float(param), baseline_param, True, False)
             )
             continue
-        point_finer = rank_stats.is_finer(point, baseline, tie_tol)
-        baseline_finer = rank_stats.is_finer(baseline, point, tie_tol)
+        relations = rank_stats.compare(point, baseline, tie_tol)
         records.append(
-            SweepRecord(
-                family,
-                float(param),
-                baseline_param,
-                False,
-                point.degenerate,
-                agreement=rank_stats.agreement_count(point, baseline, tie_tol),
-                identical=point_finer and baseline_finer,
-                point_finer_baseline=point_finer,
-                baseline_finer_point=baseline_finer,
-            )
+            SweepRecord(family, float(param), baseline_param, False, point.degenerate, *relations)
         )
     return records
 

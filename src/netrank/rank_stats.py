@@ -4,6 +4,9 @@ Ranks are ascending (smallest score gets rank 1) with tied entries sharing
 the mean of the positions they occupy.  Two entries tie when their values
 are within `tie_tol`, closed transitively over the sorted order so grouping
 does not depend on evaluation order.
+
+`compare` gives the four relations that `netrank compare` prints and each sweep
+record stores, from one sort per vector; the three public relations read it.
 """
 
 from __future__ import annotations
@@ -34,31 +37,39 @@ class RankStatistic:
         object.__setattr__(self, "ranks", _frozen(self.ranks))
 
 
-def _tie_groups(v: np.ndarray, tie_tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stable ascending order plus the start and stop positions of tolerance-chained groups."""
+def _ranked(v: np.ndarray, tie_tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Average-tie ranks, the stable ascending order and the start of each tie group."""
     order = np.argsort(v, kind="stable")
     # a group starts wherever a gap is not within tie_tol, so a NaN tolerance ties nothing
     cuts = np.ones(len(v) + 1, dtype=bool)
     cuts[1:-1] = ~(np.diff(v[order]) <= tie_tol)
     edges = np.flatnonzero(cuts)
-    return order, edges[:-1], edges[1:]
+    starts, stops = edges[:-1], edges[1:]
+    ranks = np.empty(len(v))
+    # positions are 1-based; tied entries share the mean position
+    ranks[order] = np.repeat((starts + stops + 1) / 2.0, stops - starts)
+    return ranks, order, starts
 
 
 def rank_statistic(scores, tie_tol: float = DEFAULT_TIE_TOL) -> RankStatistic:
     """Average-tie ascending ranks of a score vector."""
-    v = _values(scores)
-    order, starts, stops = _tie_groups(v, tie_tol)
-    ranks = np.empty(len(v))
-    # positions are 1-based; tied entries share the mean position
-    ranks[order] = np.repeat((starts + stops + 1) / 2.0, stops - starts)
-    return RankStatistic(ranks)
+    return RankStatistic(_ranked(_values(scores), tie_tol)[0])
 
 
-def _pair(x, y) -> tuple[np.ndarray, np.ndarray]:
+def _refines(ranks: np.ndarray, starts: np.ndarray) -> bool:
+    """True when ranks, taken in one vector's order, coincide within its groups and never fall."""
+    lo = np.minimum.reduceat(ranks, starts)
+    return bool((lo == np.maximum.reduceat(ranks, starts)).all() and (np.diff(lo) >= 0).all())
+
+
+def compare(x, y, tie_tol: float = DEFAULT_TIE_TOL) -> tuple[int, bool, bool, bool]:
+    """(agreement_count, identical, x_finer_y, y_finer_x), in `netrank compare`'s order."""
     vx, vy = _values(x), _values(y)
     if vx.shape != vy.shape:
         raise ValueError(f"length mismatch: {vx.shape[0]} vs {vy.shape[0]}")
-    return vx, vy
+    (rx, ox, sx), (ry, oy, sy) = _ranked(vx, tie_tol), _ranked(vy, tie_tol)
+    x_finer_y, y_finer_x = _refines(ry[ox], sx), _refines(rx[oy], sy)
+    return int((rx == ry).sum()), x_finer_y and y_finer_x, x_finer_y, y_finer_x
 
 
 def is_finer(x, y, tie_tol: float = DEFAULT_TIE_TOL) -> bool:
@@ -70,11 +81,7 @@ def is_finer(x, y, tie_tol: float = DEFAULT_TIE_TOL) -> bool:
     within each x-tie-group all y-ranks must coincide, and the group y-ranks
     must be non-decreasing in x order.
     """
-    vx, vy = _pair(x, y)
-    order, starts, _ = _tie_groups(vx, tie_tol)
-    ry = rank_statistic(vy, tie_tol).ranks[order]
-    lo = np.minimum.reduceat(ry, starts)
-    return bool((lo == np.maximum.reduceat(ry, starts)).all() and (np.diff(lo) >= 0).all())
+    return compare(x, y, tie_tol)[2]
 
 
 def is_identical_rank(x, y, tie_tol: float = DEFAULT_TIE_TOL) -> bool:
@@ -83,10 +90,9 @@ def is_identical_rank(x, y, tie_tol: float = DEFAULT_TIE_TOL) -> bool:
     Average-tie ranks are a function of the ordering alone, so this holds
     exactly when the rank vectors are equal.
     """
-    return is_finer(x, y, tie_tol) and is_finer(y, x, tie_tol)
+    return compare(x, y, tie_tol)[1]
 
 
 def agreement_count(x, y, tie_tol: float = DEFAULT_TIE_TOL) -> int:
     """Number of positions whose average-tie ranks coincide exactly."""
-    vx, vy = _pair(x, y)
-    return int((rank_statistic(vx, tie_tol).ranks == rank_statistic(vy, tie_tol).ranks).sum())
+    return compare(x, y, tie_tol)[0]

@@ -504,6 +504,7 @@ class TestUsageErrors:
             (["pagerank", "{net}", "--alpha", "abc"], "argument --alpha: invalid float value: 'abc'"),
             (["pagerank"], "the following arguments are required: input"),
             (["rank", "{net}"], "argument command: invalid choice: 'rank'"),
+            (["markovrank", "{net}", "--epsilon", "x"], "argument --epsilon: invalid float value: 'x'"),
         ],
     )
     def test_usage_error_exits_one(self, four_node_file, capsys, argv, message):
@@ -518,6 +519,17 @@ class TestUsageErrors:
             main(["pagerank", "--help"])
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith("usage: netrank pagerank")
+
+    @pytest.mark.parametrize(
+        "command, usage", [("pagerank", "[--alpha ALPHA]"), ("markovrank", "[--epsilon EPSILON]")]
+    )
+    def test_ranking_help_names_its_parameter(self, capsys, command, usage):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert usage in out
+        assert f"\n  {usage[1:-1]}\n" in out  # its own line under "options:"
 
     @pytest.mark.parametrize("value", ["nan", "-1", "-0.5"])
     @pytest.mark.parametrize("command", ["pagerank", "markovrank", "compare", "sweep"])
@@ -563,6 +575,27 @@ class TestEdgeListInputs:
         labels, scores = parse_scores(capsys.readouterr().out)
         assert labels == ["p1", "p2", "p3", "p4"]
         np.testing.assert_allclose(scores, golden.FOUR_NODE_PAGERANK[0.85], atol=1e-6)
+
+    def test_quoted_labels_round_trip_through_score_files(self, tmp_path, capsys):
+        # labels with a comma, a quote, a leading space and a line break
+        labels = ["a,b", 'q"u', " sp", "\u00e9\n"]
+        edges = tmp_path / "edges.csv"
+        with open(edges, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["following", "followed"])
+            for i, j in ((0, 1), (1, 0), (1, 2), (2, 1), (0, 3), (3, 1)):  # labels in order
+                writer.writerow([labels[i], labels[j]])
+        scores = tmp_path / "scores.csv"
+        assert main([
+            "pagerank", str(edges), "--format", "edgelist", "--output", str(scores),
+        ]) == 0
+        read_labels, read_scores = _read_score_csv(scores)
+        assert read_labels == labels
+        np.testing.assert_allclose(read_scores, golden.FOUR_NODE_PAGERANK[0.85], atol=1e-6)
+        assert main(["compare", str(scores), str(scores)]) == 0
+        assert capsys.readouterr().out == (
+            "agreement_count: 4\nidentical: true\na_finer_b: true\nb_finer_a: true\n"
+        )
 
     def test_custom_edge_columns(self, tmp_path, capsys):
         edges = tmp_path / "edges.csv"

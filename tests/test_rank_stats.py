@@ -12,6 +12,7 @@ from netrank import (
     pagerank,
     rank_statistic,
 )
+from netrank.rank_stats import compare
 
 import golden
 
@@ -66,6 +67,13 @@ def loop_is_finer(x, y, tie_tol):
     return True
 
 
+def loop_compare(x, y, tie_tol):
+    """compare's tuple from the loop oracles: agreement, identity, both refinements."""
+    agreement = int((loop_rank_statistic(x, tie_tol) == loop_rank_statistic(y, tie_tol)).sum())
+    x_finer_y, y_finer_x = loop_is_finer(x, y, tie_tol), loop_is_finer(y, x, tie_tol)
+    return agreement, x_finer_y and y_finer_x, x_finer_y, y_finer_x
+
+
 def last_tied_value(prev, tol):
     """Largest float b whose computed gap b - prev is still <= tol."""
     b = prev + tol
@@ -111,6 +119,9 @@ def test_vectorised_statistics_match_loop_oracle(n, tie_tol):
             assert rank_statistic(v, tie_tol).ranks.tobytes() == expected.tobytes()
         for a, b in ((x, y), (y, x), (x, x), (x, np.round(x, 6))):
             assert is_finer(a, b, tie_tol) == loop_is_finer(a, b, tie_tol)
+            relations = compare(a, b, tie_tol)
+            assert relations == loop_compare(a, b, tie_tol)
+            assert [type(r) for r in relations] == [int, bool, bool, bool]
 
 
 def test_planted_gaps_hit_the_boundary():
@@ -125,6 +136,19 @@ def test_planted_gaps_hit_the_boundary():
 def test_empty_vectors():
     assert is_finer([], [])
     assert rank_statistic(np.empty(0)).ranks.shape == (0,)
+    assert compare([], []) == (0, True, True, True)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_compare_rejects_non_finite(bad):
+    for x, y in (([0.5, bad], [0.5, 0.5]), ([0.5, 0.5], [bad, 0.5])):
+        with pytest.raises(ValueError, match="scores must be finite"):
+            compare(np.array(x), np.array(y))
+
+
+def test_compare_length_mismatch():
+    with pytest.raises(ValueError, match="^length mismatch: 2 vs 3$"):
+        compare(np.array([0.5, 0.5]), np.array([0.3, 0.3, 0.4]))
 
 
 @pytest.mark.parametrize("tie_tol, expected", [
