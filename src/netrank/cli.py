@@ -40,9 +40,9 @@ def _load_network(args) -> graph_core.AdjacencyMatrix:
             "--edge-cols expects two comma-separated column names "
             f"(FOLLOWER,FOLLOWED), got {edge_cols!r}"
         )
-    edges = graph_core.read_edge_list_csv(args.input, follower_col, followed_col)
+    ends = graph_core._read_ends(args.input, follower_col, followed_col)
     roster = graph_core.read_roster_csv(args.roster) if args.roster else None
-    return graph_core.load_edge_list(edges, roster)
+    return graph_core._from_ends(ends, roster)
 
 
 def _emit(text: str, output: Optional[str]):
@@ -84,8 +84,7 @@ def _run_ranking(args) -> int:
 
 
 def _read_score_csv(path) -> tuple[list[str], list[float]]:
-    with graph_core._open_csv(path) as fh:
-        reader = csv.reader(fh)
+    with graph_core._csv_reader(path) as reader:
         header = next(reader, None)
         if header is None or not {"label", "score"} <= set(header):
             raise ValueError(f"{path}: score file needs 'label' and 'score' columns")

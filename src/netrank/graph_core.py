@@ -126,7 +126,11 @@ def load_edge_list(
         if not a or not b:
             raise ValueError(f"edge row has an empty label: {row!r}")
         ends += a, b
+    return _from_ends(ends, roster)
 
+
+def _from_ends(ends: list[str], roster: Optional[Sequence[str]]) -> AdjacencyMatrix:
+    """load_edge_list of the edges' labels, follower, followed, follower, ..."""
     labels = tuple(map(str, roster) if roster is not None else dict.fromkeys(ends))
     index = {l: i for i, l in enumerate(labels)}
     if len(index) != len(labels):
@@ -155,8 +159,13 @@ def _is_number(token: str) -> bool:
     return True
 
 
-def _split_row(line: str) -> list[str]:
-    return next(csv.reader([line])) if "," in line else line.split()
+def _split_row(line: str, source: str, at: int) -> list[str]:
+    if "," not in line:
+        return line.split()
+    try:
+        return next(csv.reader([line]))
+    except csv.Error as exc:  # a field over csv.field_size_limit()
+        raise ValueError(f"{source}, line {at}: {exc}") from None
 
 
 def _lines(text: str) -> list[str]:
@@ -192,7 +201,8 @@ def _load_dense(data: str | bytes, source: str) -> AdjacencyMatrix:
             text = codecs.getincrementaldecoder("utf-8-sig")().decode(data, final=True)
         except UnicodeDecodeError as exc:
             raise ValueError(f"{source}: {exc}") from None
-    numbered = [(i, _split_row(line)) for i, line in enumerate(_lines(text), 1) if line.strip()]
+    numbered = [(i, _split_row(line, source, i))
+                for i, line in enumerate(_lines(text), 1) if line.strip()]
     at, rows = [i for i, _ in numbered], [row for _, row in numbered]  # rows[k] is on line at[k]
     if not rows:
         raise ValueError(f"{source}: empty dense matrix")
@@ -282,6 +292,52 @@ def _open_csv(path):
         raise ValueError(f"{path}: {exc}") from None
 
 
+@contextmanager
+def _csv_reader(path):
+    """csv.reader over _open_csv(path); a field over csv.field_size_limit() names its line."""
+    with _open_csv(path) as fh:
+        reader = csv.reader(fh)
+        try:
+            yield reader
+        except csv.Error as exc:
+            raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
+
+
+def _split_csv(path) -> Optional[tuple[list[str], list[str]]]:
+    """The header and the data fields, in one row-major list, of a CSV file
+    that csv.reader splits at every comma; None for any other file.
+
+    That is a UTF-8 text with no '"' or NUL, a header on its first line, and
+    the header's number of fields on each non-blank line, none longer than
+    csv.field_size_limit().  One join and one split read it, with no per-row
+    Python.  Callers read any other file with csv.reader, which gives the
+    same rows and names the line of each error.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8-sig")
+    except UnicodeDecodeError:
+        return None
+    del data  # each copy is freed once the next is made, to keep the peak down
+    if '"' in text or "\0" in text:
+        return None
+    lines = _lines(text)
+    del text
+    if not lines[0]:  # an empty file, or a blank line before the header
+        return None
+    body = [*filter(None, lines)]  # blank lines are skipped, as by the readers
+    del lines
+    header = body[0].split(",")
+    if (max(map(len, body)) > csv.field_size_limit()
+            or set(map(str.count, body, repeat(","))) != {len(header) - 1}):
+        return None
+    del body[0]
+    text = ",".join(body)
+    del body
+    return header, text.split(",") if text else []
+
+
 def read_dense_csv(path) -> AdjacencyMatrix:
     with open(path, "rb") as fh:
         return _load_dense(fh.read(), str(path))
@@ -298,27 +354,45 @@ def read_edge_list_csv(
     A row too short to reach either column, or with either field empty, is
     rejected with its line number.
     """
-    with _open_csv(path) as fh:
-        reader = csv.reader(fh)
+    ends = _read_ends(path, follower_col, followed_col)
+    return list(zip(ends[0::2], ends[1::2]))
+
+
+def _read_ends(path, follower_col: str, followed_col: str) -> list[str]:
+    """read_edge_list_csv's pairs as one list: follower, followed, follower, ..."""
+    split = _split_csv(path)
+    if split is not None:
+        header, fields = split
+        # a repeated column name means its last occurrence, as in csv.DictReader
+        column = {name: i for i, name in enumerate(header)}
+        k, a, b = len(header), column.get(follower_col), column.get(followed_col)
+        if a is not None and b is not None:
+            if (k, a, b) == (2, 0, 1):  # the fields are the ends already
+                ends = fields
+            else:
+                ends = [None] * (len(fields) // k * 2)
+                ends[0::2], ends[1::2] = fields[a::k], fields[b::k]
+            if "" not in ends:
+                return ends
+    with _csv_reader(path) as reader:
         header = next(reader, None)
         if header is None:
             raise ValueError(f"{path}: empty edge-list file")
         missing = {follower_col, followed_col} - set(header)
         if missing:
             raise ValueError(f"{path}: missing edge-list columns {sorted(missing)}")
-        # a repeated column name means its last occurrence, as in csv.DictReader
         column = {name: i for i, name in enumerate(header)}
         a, b = column[follower_col], column[followed_col]
         reach = max(a, b)
-        edges = []
+        ends = []
         for row in reader:
             if len(row) > reach and row[a] and row[b]:
-                edges.append((row[a], row[b]))
+                ends += row[a], row[b]
             elif row:  # blank rows are skipped
                 for col, i in ((follower_col, a), (followed_col, b)):
                     value = row[i] if i < len(row) else None
                     _check_field(value, f"{path}, line {reader.line_num}: edge row", col)
-        return edges
+        return ends
 
 
 def _check_field(value: Optional[str], where: str, col: str) -> None:
@@ -335,8 +409,15 @@ def read_roster_csv(path) -> list[str]:
     A row too short to reach that column, with it empty, or repeating an
     earlier name is rejected with its line number.
     """
-    with _open_csv(path) as fh:
-        reader = csv.reader(fh)
+    split = _split_csv(path)
+    if split is not None:
+        header, fields = split
+        col = {name: i for i, name in enumerate(header)}.get("screen_name")
+        if col is not None:
+            names = fields[col::len(header)]
+            if "" not in names and len(set(names)) == len(names):
+                return names
+    with _csv_reader(path) as reader:
         header = next(reader, None)
         if header is None or "screen_name" not in header:
             raise ValueError(f"{path}: roster file needs a 'screen_name' column")

@@ -687,6 +687,39 @@ class TestUndecodableInput:
         )
 
 
+class TestOverlongField:
+    LONG = "x" * (csv.field_size_limit() + 1)
+    GOOD = TestUndecodableInput.GOOD
+
+    @pytest.mark.parametrize(
+        "bad, text, line, argv",
+        [
+            ("dense", f"a,{LONG}\n0,1\n1,0\n", 1, ["pagerank", "{dense}"]),
+            ("edges", f"following,followed\na,b\nb,{LONG}\n", 3,
+             ["pagerank", "{edges}", "--format", "edgelist"]),
+            ("roster", f"screen_name\na\n\n{LONG}\nb\n", 4,
+             ["markovrank", "{edges}", "--format", "edgelist", "--roster", "{roster}"]),
+            ("scores", f"label,score\na,0.5\nb,{LONG}\n", 3,
+             ["compare", "{scores}", "{scores}"]),
+        ],
+        ids=["dense", "edges", "roster", "scores"],
+    )
+    def test_field_over_the_csv_limit_names_the_file_and_line(
+        self, tmp_path, capsys, bad, text, line, argv
+    ):
+        files = {name: tmp_path / f"{name}.csv" for name in self.GOOD}
+        for name, good in self.GOOD.items():
+            files[name].write_text(good)
+        files[bad].write_text(text)
+        assert main([a.format(**files) for a in argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {files[bad]}, line {line}: "
+            f"field larger than field limit ({csv.field_size_limit()})\n"
+        )
+
+
 class TestModuleEntryPoint:
     def run_python(self, *argv):
         import netrank
