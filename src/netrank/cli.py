@@ -147,6 +147,14 @@ def parse_block_spec(text: str, zero_diagonal: bool, seed: int) -> experiments.B
 
 
 def cmd_gen(args) -> int:
+    for option, given, model in (
+        ("--n", args.n is not None, "er"),
+        ("--p", args.p is not None, "er"),
+        ("--blocks", args.blocks is not None, "block"),
+        ("--no-zero-diagonal", not args.zero_diagonal, "block"),
+    ):
+        if given and model != args.model:
+            raise ValueError(f"{option} applies to --model {model} only")
     if args.model == "er":
         if args.n is None or args.p is None:
             raise ValueError("--model er requires --n and --p")
@@ -214,8 +222,9 @@ def _tie_tol(text: str) -> float:
 def _add_ranking_options(p: argparse.ArgumentParser):
     _add_network_options(p)
     p.add_argument("--method", choices=("exact", "power"), default="exact")
-    p.add_argument("--tol", type=float, default=1e-6, help="power-iteration tolerance")
-    p.add_argument("--max-iter", type=int, default=10**6)
+    p.add_argument("--tol", type=float, default=PowerIterConfig.tolerance,
+                   help="power-iteration tolerance")
+    p.add_argument("--max-iter", type=int, default=PowerIterConfig.max_iterations)
     p.add_argument("--tie-tol", type=_tie_tol, default=rank_stats.DEFAULT_TIE_TOL)
     p.add_argument("--out", choices=("csv", "json"), default="csv")
     p.add_argument("--output", help="write to this path instead of stdout")

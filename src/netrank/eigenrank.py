@@ -1,19 +1,14 @@
 """Ranking vectors: fixed-point eigenvectors, power iteration, and the two rankings.
 
 The exact method finds the eigenvalue-1 eigenspace of a column-stochastic
-matrix as the null space of (M - I) by Gaussian elimination with a pivot
-threshold; because eigenvalue 1 of a stochastic matrix is semisimple, the
-null-space dimension equals the eigenvalue's multiplicity.  The elimination
-is blocked on two levels like LAPACK's getrf: a 32-column panel is factored
-without row swaps when the pivot rule, checked with a margin, would make
-none, and column by column otherwise, so every decision is still that of
-the plain column-by-column elimination; its pivots update only the rest of
-its 128-column block, and each block's pivots reach the columns beyond it
-in one product, its pivot rows solved by forward substitution over its
-panels.  Exact rankings eliminate in the one n x n array where they build
-the damped chain.  The power method iterates
-x_k = M x_{k-1} to the same fixed point on regular chains; rankings apply
-the damped M from the adjacency's edges.
+matrix as the null space of (M - I) by Gaussian elimination with
+thresholded partial pivoting; because eigenvalue 1 of a stochastic matrix
+is semisimple, the null-space dimension equals the eigenvalue's
+multiplicity.  The elimination is blocked (eigenvalue_one_space describes
+how), but every decision is that of the column-by-column loop.  Exact
+rankings eliminate in the one n x n array where they build the damped
+chain.  The power method iterates x_k = M x_{k-1} to the same fixed point
+on regular chains; rankings apply the damped M from the adjacency's edges.
 
 markovrank is not solved on the (n+1)-state augmented chain: eliminating its
 hub state (stochastic complementation, Meyer, SIAM Review 31(2), 1989) shows

@@ -180,27 +180,12 @@ def load_dense_matrix(text: str) -> AdjacencyMatrix:
     node labels (default "1".."n").  A bad header, a ragged or non-square
     grid and a non-numeric entry are rejected with their line number.
     Numbers are whatever float() accepts; numpy converts the grid in one pass.
-    A grid in the layout `netrank gen` writes is read as bytes instead, with
-    the same result (see _digit_grid).
     """
     return _load_dense(text, "dense matrix input")
 
 
-def _load_dense(data: str | bytes, source: str) -> AdjacencyMatrix:
-    """load_dense_matrix of a text or of a file's bytes, naming `source` and the line in its errors.
-
-    Bytes that are not in gen's layout are decoded as UTF-8, a leading BOM
-    skipped, exactly as a file opened with encoding="utf-8-sig" reads.
-    """
-    digits = _digit_grid(data)
-    if digits is not None:
-        return AdjacencyMatrix(_adopt(digits), default_labels(len(digits)))
-    text = data
-    if isinstance(data, bytes):
-        try:
-            text = codecs.getincrementaldecoder("utf-8-sig")().decode(data, final=True)
-        except UnicodeDecodeError as exc:
-            raise ValueError(f"{source}: {exc}") from None
+def _load_dense(text: str, source: str) -> AdjacencyMatrix:
+    """load_dense_matrix, naming `source` and the line in its errors."""
     numbered = [(i, _split_row(line, source, i))
                 for i, line in enumerate(_lines(text), 1) if line.strip()]
     at, rows = [i for i, _ in numbered], [row for _, row in numbered]  # rows[k] is on line at[k]
@@ -234,19 +219,15 @@ def _load_dense(data: str | bytes, source: str) -> AdjacencyMatrix:
     return AdjacencyMatrix(_adopt(entries), labels)
 
 
-def _digit_grid(data: str | bytes) -> Optional[np.ndarray]:
-    r"""The entries of a text or bytes in gen's layout, or None for the general parser.
+def _digit_grid(data: bytes) -> Optional[np.ndarray]:
+    r"""The entries of a file's bytes in gen's layout, or None for the general parser.
 
     The layout is n lines "d,d,...,d\n" of n cells, each one ASCII digit;
-    \r\n may end a line, the last line break may be missing, and bytes may
-    start with a UTF-8 BOM.  It is checked by stride over the bytes, with no
-    per-token work.  float() reads each cell as its digit, so the general
+    \r\n may end a line, the last line break may be missing, and the bytes
+    may start with a UTF-8 BOM.  It is checked by stride over the bytes, with
+    no per-token work.  float() reads each cell as its digit, so the general
     parser gives the same grid.
     """
-    if isinstance(data, str):
-        if not data.isascii():
-            return None
-        data = data.encode("ascii")
     data = data.removeprefix(codecs.BOM_UTF8)
     if b"\r" in data:
         data = data.replace(b"\r\n", b"\n")
@@ -282,44 +263,47 @@ def patch_zero_rows(adj: AdjacencyMatrix) -> AdjacencyMatrix:
     return AdjacencyMatrix(_adopt(entries), adj.labels)
 
 
-@contextmanager
-def _open_csv(path):
-    """Open a CSV file to read as UTF-8, a leading BOM skipped; a decoding error names the file."""
+def _decode(data: bytes, source) -> str:
+    """A file's bytes as UTF-8 text, read as a file opened with encoding="utf-8-sig"
+    reads them (a truncated BOM too); a bad byte names `source` and its offset
+    in `data`, counted after any BOM."""
     try:
-        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            yield fh
+        return codecs.getincrementaldecoder("utf-8-sig")().decode(data, final=True)
     except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+        raise ValueError(f"{source}: {exc}") from None
 
 
 @contextmanager
 def _csv_reader(path):
-    """csv.reader over _open_csv(path); a field over csv.field_size_limit() names its line."""
-    with _open_csv(path) as fh:
+    """csv.reader streaming file `path` as _decode reads it; a field over
+    csv.field_size_limit() names its line, and a bad byte is placed by _decode
+    in the whole file, not in the text reader's 8 KiB chunk."""
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             yield reader
         except csv.Error as exc:
             raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError:
+            with open(path, "rb") as raw:
+                _decode(raw.read(), path)
+            raise
 
 
 def _split_csv(path) -> Optional[tuple[list[str], list[str]]]:
     """The header and the data fields, in one row-major list, of a CSV file
     that csv.reader splits at every comma; None for any other file.
 
-    That is a UTF-8 text with no '"' or NUL, a header on its first line, and
-    the header's number of fields on each non-blank line, none longer than
+    That is a text with no '"' or NUL, a header on its first line, and the
+    header's number of fields on each non-blank line, none longer than
     csv.field_size_limit().  One join and one split read it, with no per-row
     Python.  Callers read any other file with csv.reader, which gives the
-    same rows and names the line of each error.
+    same rows and names the line of each error.  A file that is not UTF-8
+    raises _decode's ValueError.
     """
     with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        text = data.decode("utf-8-sig")
-    except UnicodeDecodeError:
-        return None
-    del data  # each copy is freed once the next is made, to keep the peak down
+        text = _decode(fh.read(), path)
+    # each copy is freed once the next is made, to keep the peak down
     if '"' in text or "\0" in text:
         return None
     lines = _lines(text)
@@ -339,8 +323,13 @@ def _split_csv(path) -> Optional[tuple[list[str], list[str]]]:
 
 
 def read_dense_csv(path) -> AdjacencyMatrix:
+    """load_dense_matrix of a file; gen's layout is read from its bytes (see _digit_grid)."""
     with open(path, "rb") as fh:
-        return _load_dense(fh.read(), str(path))
+        data = fh.read()
+    digits = _digit_grid(data)
+    if digits is not None:
+        return AdjacencyMatrix(_adopt(digits), default_labels(len(digits)))
+    return _load_dense(_decode(data, path), str(path))
 
 
 def read_edge_list_csv(

@@ -1,14 +1,16 @@
+import codecs
 import csv
 import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
-from netrank import experiments, graph_core
+from netrank import experiments
 from netrank.cli import _read_score_csv, main, parse_block_spec
 
 import golden
@@ -276,9 +278,19 @@ class TestCompareCommand:
         assert capsys.readouterr().err == f"error: {path}, line 3: row has no label\n"
 
 
+@contextmanager
+def _open_csv(path):
+    """Open a CSV file to read as UTF-8, a leading BOM skipped; a decoding error names the file."""
+    try:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def dict_reader_scores(path):
     """_read_score_csv through csv.DictReader, as an oracle."""
-    with graph_core._open_csv(path) as fh:
+    with _open_csv(path) as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or not {"label", "score"} <= set(reader.fieldnames):
             raise ValueError(f"{path}: score file needs 'label' and 'score' columns")
@@ -420,6 +432,25 @@ class TestGenCommand:
 
     def test_er_requires_n_and_p(self, tmp_path):
         assert main(["gen", "--model", "er", "--out", str(tmp_path / "x.csv")]) == 1
+
+    @pytest.mark.parametrize(
+        "args, option, model",
+        [
+            (["--model", "er", "--n", "4", "--p", "1", "--blocks", "4x4@1"], "--blocks", "block"),
+            (["--model", "er", "--n", "4", "--p", "1", "--no-zero-diagonal"],
+             "--no-zero-diagonal", "block"),
+            (["--model", "block", "--blocks", "4x4@1", "--n", "4"], "--n", "er"),
+            (["--model", "block", "--blocks", "4x4@1", "--p", "1"], "--p", "er"),
+        ],
+        ids=["blocks-with-er", "no-zero-diagonal-with-er", "n-with-block", "p-with-block"],
+    )
+    def test_option_of_the_other_model_exits_one(self, tmp_path, capsys, args, option, model):
+        out = tmp_path / "x.csv"
+        assert main(["gen", *args, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {option} applies to --model {model} only\n"
+        assert not out.exists()
 
     def test_out_of_memory_exits_one(self, tmp_path, capsys, monkeypatch):
         message = ("Unable to allocate 65.5 TiB for an array with shape "
@@ -684,6 +715,40 @@ class TestUndecodableInput:
         assert captured.err == (
             f"error: {files[bad]}: 'utf-8' codec can't decode byte 0xff "
             f"in position {data.index(0xFF)}: invalid start byte\n"
+        )
+
+    # each file is over 16 KiB, its bad byte past the text reader's first 8 KiB chunk
+    @pytest.mark.parametrize("bom", [b"", codecs.BOM_UTF8], ids=["no-bom", "bom"])
+    @pytest.mark.parametrize(
+        "bad, head, row, count, argv",
+        [
+            ("dense", b"", b"0.5," * 69 + b"%d\n", 70, ["pagerank", "{dense}"]),
+            ("edges", b"following,followed\n", b"u%05d,v\n", 2500,
+             ["pagerank", "{edges}", "--format", "edgelist"]),
+            ("roster", b"screen_name\n", b"u%05d\n", 3000,
+             ["markovrank", "{edges}", "--format", "edgelist", "--roster", "{roster}"]),
+            ("scores", b"label,score\n", b"u%05d,0.5\n", 2000, ["compare", "{scores}", "{scores}"]),
+        ],
+        ids=["dense", "edges", "roster", "scores"],
+    )
+    def test_decoding_error_gives_the_offset_in_the_file(
+        self, tmp_path, capsys, bad, head, row, count, argv, bom
+    ):
+        rows = [row % i for i in range(count)]
+        k = count * 3 // 4
+        rows[k] = b"\xff" + rows[k][1:]
+        offset = len(head) + sum(map(len, rows[:k]))  # counted after the BOM
+        files = {name: tmp_path / f"{name}.csv" for name in self.GOOD}
+        for name, text in self.GOOD.items():
+            files[name].write_text(text)
+        files[bad].write_bytes(bom + head + b"".join(rows))
+        assert offset > 8192 and files[bad].stat().st_size > 16384
+        assert main([a.format(**files) for a in argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {files[bad]}: 'utf-8' codec can't decode byte 0xff "
+            f"in position {offset}: invalid start byte\n"
         )
 
 

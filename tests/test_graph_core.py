@@ -450,8 +450,8 @@ def test_digit_grid_matches_the_general_parser(tmp_path, n, end, last):
     full = "".join(",".join(map(str, row)) + end for row in digits)
     text = full[: len(full) - len(end)] + last
     oracle = full + end  # a trailing blank line: the shortcut refuses it
-    assert _digit_grid(text) is not None
-    assert _digit_grid(oracle) is None
+    assert _digit_grid(text.encode()) is not None
+    assert _digit_grid(oracle.encode()) is None
     expected = load_dense_matrix(oracle)
     np.testing.assert_array_equal(expected.entries, digits)
     assert_same_adjacency(load_dense_matrix(text), expected)
@@ -485,7 +485,7 @@ OFF_LAYOUT = [
          "blank-inner-line", "ragged", "n-by-n+1", "n+1-by-n", "empty", "whitespace"],
 )
 def test_off_layout_grids_keep_the_general_parser(text, expected):
-    assert _digit_grid(text) is None
+    assert _digit_grid(text.encode()) is None
     if isinstance(expected, str):
         with pytest.raises(ValueError) as info:
             load_dense_matrix(text)

@@ -1,9 +1,13 @@
-"""The README's library quick start runs, and its comments state its results."""
+"""The README's library quick start runs, and its comments state its results;
+its decode-error example is what the CLI prints."""
 
 import re
 from pathlib import Path
 
 import numpy as np
+import pytest
+
+from netrank.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -34,3 +38,17 @@ def test_library_quick_start_comments_hold():
             assert value is {"True": True, "False": False}[comment]
         checked += 1
     assert checked == 4
+
+
+@pytest.mark.parametrize(
+    "data, options",
+    [(b"0,1\n\xff,0\n", []), (b"a,b\n\xff,x\n", ["--format", "edgelist", "--edge-cols", "a,b"])],
+    ids=["dense", "edges"],
+)
+def test_decode_error_example_is_what_the_cli_prints(tmp_path, monkeypatch, capsys, data, options):
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    example = re.search(r"`(bad\.csv: 'utf-8' codec [^`]*)`", text)[1]
+    monkeypatch.chdir(tmp_path)
+    Path("bad.csv").write_bytes(data)
+    assert main(["pagerank", "bad.csv", *options]) == 1
+    assert capsys.readouterr().err == f"error: {example}\n"
