@@ -6,10 +6,9 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from typing import Optional
-
-import numpy as np
 
 from . import experiments, graph_core, rank_stats
 from .eigenrank import (
@@ -84,36 +83,31 @@ def _run_ranking(args) -> int:
 
 
 def _read_score_csv(path) -> tuple[list[str], list[float]]:
-    with graph_core._csv_reader(path) as reader:
-        header = next(reader, None)
-        if header is None or not {"label", "score"} <= set(header):
-            raise ValueError(f"{path}: score file needs 'label' and 'score' columns")
-        # a repeated column name means its last occurrence, as in csv.DictReader
-        column = {name: i for i, name in enumerate(header)}
-        a, b = column["label"], column["score"]
-        first_line: dict[str, int] = {}  # label -> line, in file order
-        scores = []
-        for row in reader:
-            if not row:  # blank rows are skipped
-                continue
-            where = f"{path}, line {reader.line_num}"
-            if a >= len(row):
-                raise ValueError(f"{where}: row has no label")
-            label, score = row[a], row[b] if b < len(row) else None
-            try:
-                scores.append(float(score))
-            except (TypeError, ValueError):
-                raise ValueError(f"{where}: missing or non-numeric score {score!r}") from None
-            if not np.isfinite(scores[-1]):
-                raise ValueError(f"{where}: non-finite score {score!r}")
-            if label in first_line:
-                raise ValueError(
-                    f"{where}: repeats label {label!r} (first on line {first_line[label]})"
-                )
-            first_line[label] = reader.line_num
-    if not first_line:
+    """The labels and scores of a `compare` file, read by graph_core._read_columns."""
+    _, fields, line = graph_core._read_columns(path, ("label", "score"))
+    if fields is None:
+        raise ValueError(f"{path}: score file needs 'label' and 'score' columns")
+
+    def fail(k: int, problem: str):
+        raise ValueError(f"{path}, line {line(k)}: {problem}")
+
+    first: dict[str, int] = {}  # label -> its data row, in file order
+    scores = []
+    for k, (label, score) in enumerate(zip(fields[0::2], fields[1::2])):
+        if label is None:
+            fail(k, "row has no label")
+        try:
+            scores.append(float(score))
+        except (TypeError, ValueError):
+            fail(k, f"missing or non-numeric score {score!r}")
+        if not math.isfinite(scores[-1]):
+            fail(k, f"non-finite score {score!r}")
+        if label in first:
+            fail(k, f"repeats label {label!r} (first on line {line(first[label])})")
+        first[label] = k
+    if not first:
         raise ValueError(f"{path}: score file has no rows")
-    return list(first_line), scores
+    return list(first), scores
 
 
 def cmd_compare(args) -> int:

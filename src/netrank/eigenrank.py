@@ -24,8 +24,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .graph_core import AdjacencyMatrix, _frozen, default_labels
-from .chain_builder import (TransitionMatrix, _check_epsilon, _damp, _damped_operator,
-                            _generalized_inverse)
+from .chain_builder import (TransitionMatrix, _check_alpha, _check_epsilon, _damp,
+                            _damped_operator, _generalized_inverse)
 
 # Scores at or below this (including any negative score) mark a result as
 # numerically degenerate: the chain was solved at an unstable parameter.
@@ -339,6 +339,7 @@ def pagerank(
     tolerance 1e-15); it raises NonConvergenceError on periodic chains.
     """
     if method == "exact":
+        _check_alpha(alpha)  # before the n x n chain is allocated
         chain = _generalized_inverse(adj, np.empty((adj.n, adj.n)))
         space = _eliminate(_damp(chain, alpha))
         if space.multiplicity != 1:

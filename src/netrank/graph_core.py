@@ -5,11 +5,11 @@ from __future__ import annotations
 import codecs
 import csv
 import math
-from contextlib import contextmanager
+import re
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
-from typing import Iterable, Optional, Sequence
+from itertools import islice, repeat
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -273,21 +273,9 @@ def _decode(data: bytes, source) -> str:
         raise ValueError(f"{source}: {exc}") from None
 
 
-@contextmanager
-def _csv_reader(path):
-    """csv.reader streaming file `path` as _decode reads it; a field over
-    csv.field_size_limit() names its line, and a bad byte is placed by _decode
-    in the whole file, not in the text reader's 8 KiB chunk."""
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            yield reader
-        except csv.Error as exc:
-            raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
-        except UnicodeDecodeError:
-            with open(path, "rb") as raw:
-                _decode(raw.read(), path)
-            raise
+def _read_text(path) -> str:
+    with open(path, "rb") as fh:
+        return _decode(fh.read(), path)
 
 
 def _split_csv(path) -> Optional[tuple[list[str], list[str]]]:
@@ -297,12 +285,10 @@ def _split_csv(path) -> Optional[tuple[list[str], list[str]]]:
     That is a text with no '"' or NUL, a header on its first line, and the
     header's number of fields on each non-blank line, none longer than
     csv.field_size_limit().  One join and one split read it, with no per-row
-    Python.  Callers read any other file with csv.reader, which gives the
-    same rows and names the line of each error.  A file that is not UTF-8
-    raises _decode's ValueError.
+    Python, and csv.reader would give the same rows.  A file that is not
+    UTF-8 raises _decode's ValueError.
     """
-    with open(path, "rb") as fh:
-        text = _decode(fh.read(), path)
+    text = _read_text(path)
     # each copy is freed once the next is made, to keep the peak down
     if '"' in text or "\0" in text:
         return None
@@ -310,7 +296,7 @@ def _split_csv(path) -> Optional[tuple[list[str], list[str]]]:
     del text
     if not lines[0]:  # an empty file, or a blank line before the header
         return None
-    body = [*filter(None, lines)]  # blank lines are skipped, as by the readers
+    body = [*filter(None, lines)]  # blank lines are skipped, as _read_columns skips them
     del lines
     header = body[0].split(",")
     if (max(map(len, body)) > csv.field_size_limit()
@@ -320,6 +306,55 @@ def _split_csv(path) -> Optional[tuple[list[str], list[str]]]:
     text = ",".join(body)
     del body
     return header, text.split(",") if text else []
+
+
+# one line as a file opened with newline="" reads it: up to and with its \n, \r\n or \r
+_LINE = re.compile(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")
+
+
+def _read_columns(path, names: tuple[str, ...]) -> tuple[
+        Optional[list[str]], Optional[list[Optional[str]]], Callable[[int], int]]:
+    """(header, columns, line) of a headered CSV file, read whole.
+
+    `header` is the first row, None for an empty file.  `columns` holds the
+    fields of the columns `names`, row after row, blank rows skipped, with
+    None past the end of a short row; it is None when the header lacks a
+    name.  A column named twice in the header is read from its last
+    occurrence, as in csv.DictReader.  line(k) is the line of data row k.
+    A file _split_csv reads gives its fields uncopied when the header is
+    `names`.  csv.reader reads any other file, from _decode's text; a field
+    over csv.field_size_limit() names its line.
+    """
+    def rows():
+        """Each row csv.reader reads, [] for a blank one, after the line it ends on."""
+        reader = csv.reader(map(re.Match.group, _LINE.finditer(_read_text(path))))
+        try:
+            for row in reader:
+                yield reader.line_num, row
+        except csv.Error as exc:
+            raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
+
+    def line(k: int) -> int:
+        # only an error asks for a line, so the file is read again, not kept
+        return next(islice((at for at, row in rows() if row), k + 1, None))
+
+    split = _split_csv(path)
+    reader = None if split else rows()
+    header, fields = split or (next(reader, (0, None))[1], [])
+    if header is None or not set(names) <= set(header):
+        return header, None, line  # before csv.reader reads a field over the limit below
+    pad = [None] * len(header)
+    for _, row in reader or ():
+        if row:  # blank rows are skipped
+            fields += (row + pad)[:len(pad)]  # cut or padded to the header's width
+    column = {name: i for i, name in enumerate(header)}
+    cols, k, m = [column[name] for name in names], len(header), len(names)
+    if cols == [*range(k)]:  # the header is `names`
+        return header, fields, line
+    columns = [None] * (len(fields) // k * m)
+    for j, i in enumerate(cols):
+        columns[j::m] = fields[i::k]
+    return header, columns, line
 
 
 def read_dense_csv(path) -> AdjacencyMatrix:
@@ -337,7 +372,7 @@ def read_edge_list_csv(
     follower_col: str = "following",
     followed_col: str = "followed",
 ) -> list[tuple[str, str]]:
-    """Read (follower, followed) pairs from a headered CSV.
+    """Read (follower, followed) pairs from a headered CSV (see _read_columns).
 
     The header must contain both named columns; extra columns are ignored.
     A row too short to reach either column, or with either field empty, is
@@ -349,39 +384,16 @@ def read_edge_list_csv(
 
 def _read_ends(path, follower_col: str, followed_col: str) -> list[str]:
     """read_edge_list_csv's pairs as one list: follower, followed, follower, ..."""
-    split = _split_csv(path)
-    if split is not None:
-        header, fields = split
-        # a repeated column name means its last occurrence, as in csv.DictReader
-        column = {name: i for i, name in enumerate(header)}
-        k, a, b = len(header), column.get(follower_col), column.get(followed_col)
-        if a is not None and b is not None:
-            if (k, a, b) == (2, 0, 1):  # the fields are the ends already
-                ends = fields
-            else:
-                ends = [None] * (len(fields) // k * 2)
-                ends[0::2], ends[1::2] = fields[a::k], fields[b::k]
-            if "" not in ends:
-                return ends
-    with _csv_reader(path) as reader:
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{path}: empty edge-list file")
-        missing = {follower_col, followed_col} - set(header)
-        if missing:
-            raise ValueError(f"{path}: missing edge-list columns {sorted(missing)}")
-        column = {name: i for i, name in enumerate(header)}
-        a, b = column[follower_col], column[followed_col]
-        reach = max(a, b)
-        ends = []
-        for row in reader:
-            if len(row) > reach and row[a] and row[b]:
-                ends += row[a], row[b]
-            elif row:  # blank rows are skipped
-                for col, i in ((follower_col, a), (followed_col, b)):
-                    value = row[i] if i < len(row) else None
-                    _check_field(value, f"{path}, line {reader.line_num}: edge row", col)
-        return ends
+    cols = (follower_col, followed_col)
+    header, ends, line = _read_columns(path, cols)
+    if header is None:
+        raise ValueError(f"{path}: empty edge-list file")
+    if ends is None:
+        raise ValueError(f"{path}: missing edge-list columns {sorted(set(cols) - set(header))}")
+    if not all(ends):
+        k = next(k for k, end in enumerate(ends) if not end)
+        _check_field(ends[k], f"{path}, line {line(k // 2)}: edge row", cols[k % 2])
+    return ends
 
 
 def _check_field(value: Optional[str], where: str, col: str) -> None:
@@ -393,35 +405,22 @@ def _check_field(value: Optional[str], where: str, col: str) -> None:
 
 
 def read_roster_csv(path) -> list[str]:
-    """Read the node roster from a CSV with a `screen_name` column.
+    """Read the node roster from a CSV with a `screen_name` column (see _read_columns).
 
     A row too short to reach that column, with it empty, or repeating an
     earlier name is rejected with its line number.
     """
-    split = _split_csv(path)
-    if split is not None:
-        header, fields = split
-        col = {name: i for i, name in enumerate(header)}.get("screen_name")
-        if col is not None:
-            names = fields[col::len(header)]
-            if "" not in names and len(set(names)) == len(names):
-                return names
-    with _csv_reader(path) as reader:
-        header = next(reader, None)
-        if header is None or "screen_name" not in header:
-            raise ValueError(f"{path}: roster file needs a 'screen_name' column")
-        # a repeated column name means its last occurrence, as in csv.DictReader
-        col = {name: i for i, name in enumerate(header)}["screen_name"]
-        first_line: dict[str, int] = {}
-        for row in reader:
-            if not row:  # blank rows are skipped
-                continue
-            label = row[col] if col < len(row) else None
-            if not label or label in first_line:
-                where = f"{path}, line {reader.line_num}: roster row"
-                _check_field(label, where, "screen_name")
+    _, names, line = _read_columns(path, ("screen_name",))
+    if names is None:
+        raise ValueError(f"{path}: roster file needs a 'screen_name' column")
+    if not all(names) or len(set(names)) != len(names):
+        first: dict[str, int] = {}  # name -> its data row
+        for k, name in enumerate(names):
+            if not name or name in first:
+                where = f"{path}, line {line(k)}: roster row"
+                _check_field(name, where, "screen_name")
                 raise ValueError(
-                    f"{where} repeats screen_name {label!r} (first on line {first_line[label]})"
+                    f"{where} repeats screen_name {name!r} (first on line {line(first[name])})"
                 )
-            first_line[label] = reader.line_num
-        return list(first_line)
+            first[name] = k
+    return names

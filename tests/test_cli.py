@@ -717,24 +717,38 @@ class TestUndecodableInput:
             f"in position {data.index(0xFF)}: invalid start byte\n"
         )
 
-    # each file is over 16 KiB, its bad byte past the text reader's first 8 KiB chunk
+    # each file is over 16 KiB, its bad byte past the text reader's first 8 KiB chunk;
+    # a bad row, if given, is put on the file's second or third line, before the bad byte
     @pytest.mark.parametrize("bom", [b"", codecs.BOM_UTF8], ids=["no-bom", "bom"])
     @pytest.mark.parametrize(
-        "bad, head, row, count, argv",
+        "bad, head, row, count, bad_row, argv",
         [
-            ("dense", b"", b"0.5," * 69 + b"%d\n", 70, ["pagerank", "{dense}"]),
-            ("edges", b"following,followed\n", b"u%05d,v\n", 2500,
+            ("dense", b"", b"0.5," * 69 + b"%d\n", 70, None, ["pagerank", "{dense}"]),
+            ("edges", b"following,followed\n", b"u%05d,v\n", 2500, None,
              ["pagerank", "{edges}", "--format", "edgelist"]),
-            ("roster", b"screen_name\n", b"u%05d\n", 3000,
+            ("roster", b"screen_name\n", b"u%05d\n", 3000, None,
              ["markovrank", "{edges}", "--format", "edgelist", "--roster", "{roster}"]),
-            ("scores", b"label,score\n", b"u%05d,0.5\n", 2000, ["compare", "{scores}", "{scores}"]),
+            ("scores", b"label,score\n", b"u%05d,0.5\n", 2000, None,
+             ["compare", "{scores}", "{scores}"]),
+            ("dense", b"", b"0.5," * 69 + b"%d\n", 70, b"x," + b"0.5," * 68 + b"1\n",
+             ["pagerank", "{dense}"]),
+            ("edges", b"following,followed\n", b"u%05d,v\n", 2500, b"u00001,\n",
+             ["pagerank", "{edges}", "--format", "edgelist"]),
+            ("roster", b"screen_name\n", b"u%05d\n", 3000, b"u00000\n",
+             ["markovrank", "{edges}", "--format", "edgelist", "--roster", "{roster}"]),
+            ("scores", b"label,score\n", b"u%05d,0.5\n", 2000, b"u00000,0.5\n",
+             ["compare", "{scores}", "{scores}"]),
         ],
-        ids=["dense", "edges", "roster", "scores"],
+        ids=["dense", "edges", "roster", "scores", "dense-after-a-non-numeric-entry",
+             "edges-after-an-empty-field", "roster-after-a-repeated-name",
+             "scores-after-a-repeated-label"],
     )
     def test_decoding_error_gives_the_offset_in_the_file(
-        self, tmp_path, capsys, bad, head, row, count, argv, bom
+        self, tmp_path, capsys, bad, head, row, count, bad_row, argv, bom
     ):
         rows = [row % i for i in range(count)]
+        if bad_row is not None:
+            rows[1] = bad_row
         k = count * 3 // 4
         rows[k] = b"\xff" + rows[k][1:]
         offset = len(head) + sum(map(len, rows[:k]))  # counted after the BOM
@@ -783,6 +797,37 @@ class TestOverlongField:
             f"error: {files[bad]}, line {line}: "
             f"field larger than field limit ({csv.field_size_limit()})\n"
         )
+
+    # the header is checked before any row is read, and every row is read before one is checked
+    @pytest.mark.parametrize(
+        "bad, text, message, argv",
+        [
+            ("edges", f"following,x\na,b\nb,{LONG}\n",
+             "{}: missing edge-list columns ['followed']",
+             ["pagerank", "{edges}", "--format", "edgelist"]),
+            ("roster", f"name\na\n{LONG}\n", "{}: roster file needs a 'screen_name' column",
+             ["markovrank", "{edges}", "--format", "edgelist", "--roster", "{roster}"]),
+            ("scores", f"label,x\na,0.5\nb,{LONG}\n",
+             "{}: score file needs 'label' and 'score' columns",
+             ["compare", "{scores}", "{scores}"]),
+            ("edges", f"following,followed\na,\nb,{LONG}\n",
+             f"{{}}, line 3: field larger than field limit ({csv.field_size_limit()})",
+             ["pagerank", "{edges}", "--format", "edgelist"]),
+            ("scores", f"label,score\na,0.5\na,0.5\nb,{LONG}\n",
+             f"{{}}, line 4: field larger than field limit ({csv.field_size_limit()})",
+             ["compare", "{scores}", "{scores}"]),
+        ],
+        ids=["edges-header", "roster-header", "scores-header", "edges-row", "scores-row"],
+    )
+    def test_order_of_a_bad_header_a_long_field_and_a_bad_row(
+        self, tmp_path, capsys, bad, text, message, argv
+    ):
+        files = {name: tmp_path / f"{name}.csv" for name in self.GOOD}
+        for name, good in self.GOOD.items():
+            files[name].write_text(good)
+        files[bad].write_text(text)
+        assert main([a.format(**files) for a in argv]) == 1
+        assert capsys.readouterr().err == "error: " + message.format(files[bad]) + "\n"
 
 
 class TestModuleEntryPoint:

@@ -18,8 +18,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from netrank import AdjacencyMatrix, read_edge_list_csv, read_roster_csv
-from netrank.cli import _load_network, main
+from netrank.cli import _load_network, _read_score_csv, main
 from netrank.graph_core import _check_field, _split_csv
+from test_cli import dict_reader_scores
 
 
 @contextmanager
@@ -156,12 +157,17 @@ EDGE_HEADERS = ["following,followed"] * 4 + [
     "following,id,followed,id", "following", "x", "",
 ]
 ROSTER_HEADERS = ["screen_name"] * 3 + ["id,screen_name", "screen_name,x,screen_name", "x", ""]
+SCORE_HEADERS = ["label,score"] * 4 + [
+    "score,label", "id,label,score", "label,score,label", "score,x,label,score", "label", "",
+]
+# score fields: mostly numbers float() reads, some it refuses or reads as non-finite
+NUMBERS = ["0", "0.5", "1e-3", " 2 ", "-1", "1_000", "\u0661"] * 8 + ["nan", "-inf", "1e999"]
 
 
 @st.composite
-def csv_texts(draw, headers: list[str]) -> str:
+def csv_texts(draw, headers: list[str], plain: list[str] = PLAIN) -> str:
     header = draw(st.sampled_from(headers)).split(",")
-    labels = PLAIN if draw(st.booleans()) else PLAIN + SPECIAL
+    labels = plain if draw(st.booleans()) else plain + SPECIAL
     rows = [header]
     for _ in range(draw(st.integers(0, 8))):
         width = max(0, len(header) + draw(st.sampled_from([0] * 30 + [-1, 1])))
@@ -206,6 +212,15 @@ def test_cli_ingest_matches_the_pair_list_path(tmp_path, case):
         oracle_read_edge_list_csv, edges, *cols)
     if roster is not None:
         assert outcome(read_roster_csv, roster) == outcome(oracle_read_roster_csv, roster)
+
+
+@given(csv_texts(SCORE_HEADERS, PLAIN + NUMBERS))
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_score_reader_matches_dict_reader_on_generated_files(tmp_path, text):
+    path = tmp_path / "scores.csv"
+    path.write_bytes(text.encode())
+    assert outcome(_read_score_csv, path) == outcome(dict_reader_scores, path)
 
 
 @pytest.mark.parametrize(

@@ -214,6 +214,16 @@ class TestPagerankGolden:
         with pytest.raises(ValueError, match="alpha"):
             pagerank(golden.FOUR_NODE, alpha)
 
+    @pytest.mark.parametrize("alpha", [5.0, float("nan")])
+    def test_alpha_is_checked_before_the_chain_is_built(self, monkeypatch, alpha):
+        # a 200,001-node edge list asked numpy for 298 GiB before alpha was checked
+        def build(adj, out):
+            raise AssertionError("the n x n chain was built")
+
+        monkeypatch.setattr(eigenrank, "_generalized_inverse", build)
+        with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\]"):
+            pagerank(golden.FOUR_NODE, alpha)
+
     def test_unknown_method(self):
         with pytest.raises(ValueError, match="method"):
             pagerank(golden.FOUR_NODE, 0.85, method="magic")
