@@ -68,8 +68,12 @@ def _format_scores(scores: ScoreVector, ranks, out_format: str) -> str:
 
 
 def _run_ranking(args) -> int:
+    for option, value in (("--tol", args.tol), ("--max-iter", args.max_iter)):
+        if value is not None and args.method != "power":
+            raise ValueError(f"{option} applies to --method power only")
+    given = {"tolerance": args.tol, "max_iterations": args.max_iter}
+    cfg = PowerIterConfig(**{field: v for field, v in given.items() if v is not None})
     adj = _load_network(args)
-    cfg = PowerIterConfig(tolerance=args.tol, max_iterations=args.max_iter)
     scores = args.rank(adj, args.param, args.method, cfg)
     if scores.degenerate:
         print(
@@ -216,9 +220,10 @@ def _tie_tol(text: str) -> float:
 def _add_ranking_options(p: argparse.ArgumentParser):
     _add_network_options(p)
     p.add_argument("--method", choices=("exact", "power"), default="exact")
-    p.add_argument("--tol", type=float, default=PowerIterConfig.tolerance,
-                   help="power-iteration tolerance")
-    p.add_argument("--max-iter", type=int, default=PowerIterConfig.max_iterations)
+    p.add_argument("--tol", type=float, help="power-iteration tolerance "
+                   f"(--method power only; default: {PowerIterConfig.tolerance:g})")
+    p.add_argument("--max-iter", type=int, help="power-iteration step limit "
+                   f"(--method power only; default: {PowerIterConfig.max_iterations})")
     p.add_argument("--tie-tol", type=_tie_tol, default=rank_stats.DEFAULT_TIE_TOL)
     p.add_argument("--out", choices=("csv", "json"), default="csv")
     p.add_argument("--output", help="write to this path instead of stdout")

@@ -169,25 +169,6 @@ class SweepReport:
         return out.getvalue()
 
 
-def _sweep_family(family, solve, grid, baseline_param, tie_tol):
-    baseline = solve(baseline_param)
-    if isinstance(baseline, Exception):
-        raise baseline
-    records = []
-    for param in grid:
-        point = solve(param)
-        if isinstance(point, Exception):
-            records.append(
-                SweepRecord(family, float(param), baseline_param, True, False)
-            )
-            continue
-        relations = rank_stats.compare(point, baseline, tie_tol)
-        records.append(
-            SweepRecord(family, float(param), baseline_param, False, point.degenerate, *relations)
-        )
-    return records
-
-
 def invariance_sweep(
     adj: AdjacencyMatrix,
     alphas: Sequence[float] = DEFAULT_ALPHAS,
@@ -196,12 +177,12 @@ def invariance_sweep(
 ) -> SweepReport:
     """Rank-statistic comparison of both rankings over parameter grids.
 
-    Each grid point is compared against the family baseline (alpha = 0.85,
-    epsilon = 1).  Grid-point failures (no unique fixed point, degenerate
-    eigenvector) are recorded in the report rather than raised.  Both
-    families are one damped family: epsilon maps to alpha = 2S / (2S + eps)
-    (see markovrank).  Each distinct alpha is ranked once, by the exact
-    pagerank.
+    Each grid point is compared against its family baseline (alpha = 0.85,
+    epsilon = 1), which is solved first; a baseline's failure is raised, but
+    a grid point's (no unique fixed point, degenerate eigenvector) is
+    recorded.  Both families are one damped family: epsilon maps to
+    alpha = 2S / (2S + eps) (see markovrank).  Each distinct alpha is ranked
+    once, by the exact pagerank.
     """
     solved = {}  # alpha -> ScoreVector, or the error its solve raised
 
@@ -213,8 +194,18 @@ def invariance_sweep(
                 solved[alpha] = exc
         return solved[alpha]
 
-    records = _sweep_family("pagerank", solve, alphas, BASELINE_ALPHA, tie_tol)
-    records += _sweep_family(
-        "markovrank", lambda e: solve(_hub_alpha(adj, e)), epsilons, BASELINE_EPSILON, tie_tol
-    )
+    records = []
+    for family, grid, base, to_alpha in (
+        ("pagerank", alphas, BASELINE_ALPHA, lambda alpha: alpha),
+        ("markovrank", epsilons, BASELINE_EPSILON, lambda eps: _hub_alpha(adj, eps)),
+    ):
+        baseline = solve(to_alpha(base))
+        if isinstance(baseline, Exception):
+            raise baseline
+        for param in grid:
+            point = solve(to_alpha(param))
+            failed = isinstance(point, Exception)
+            relations = () if failed else rank_stats.compare(point, baseline, tie_tol)
+            degenerate = not failed and point.degenerate
+            records.append(SweepRecord(family, float(param), base, failed, degenerate, *relations))
     return SweepReport(adj.n, tuple(alphas), tuple(epsilons), tuple(records))

@@ -41,6 +41,12 @@ class TestTransitionMatrixType:
         with pytest.raises(ValueError, match=problem):
             TransitionMatrix(np.array([[bad, 0.5], [1.0, 0.5]]))
 
+    @pytest.mark.parametrize("shape", [(2, 3), (0, 0), (4,)])
+    def test_rejects_non_square(self, shape):
+        with pytest.raises(ValueError) as info:
+            TransitionMatrix(np.ones(shape))
+        assert str(info.value) == f"transition matrix must be square, got shape {shape}"
+
     def test_accepts_chain_3(self):
         assert golden.CHAIN_3.m == 3
 

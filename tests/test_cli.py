@@ -120,6 +120,19 @@ class TestPagerankCommand:
         assert main(argv) == 1
         assert capsys.readouterr().err == "error: tolerance must be positive\n"
 
+    @pytest.mark.parametrize("command", ["pagerank", "markovrank"])
+    def test_power_default_tolerance_prints_the_exact_scores(self, six_node_file, capsys, command):
+        # every one of the 10 printed digits: the default tolerance is 1e-15
+        assert main([command, six_node_file]) == 0
+        exact = capsys.readouterr().out
+        assert main([command, six_node_file, "--method", "power"]) == 0
+        assert capsys.readouterr().out == exact
+
+    def test_zero_max_iter_exits_one(self, four_node_file, capsys):
+        argv = ["pagerank", four_node_file, "--method", "power", "--max-iter", "0"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: max_iterations must be at least 1\n"
+
     def test_rows_end_only_at_line_breaks(self, tmp_path, capsys):
         # str.splitlines() would read this one line as the rows 0,1 and 1,0
         path = tmp_path / "fs.csv"
@@ -433,6 +446,12 @@ class TestGenCommand:
     def test_er_requires_n_and_p(self, tmp_path):
         assert main(["gen", "--model", "er", "--out", str(tmp_path / "x.csv")]) == 1
 
+    def test_block_requires_blocks(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert main(["gen", "--model", "block", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: --model block requires --blocks\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "args, option, model",
         [
@@ -493,6 +512,16 @@ class TestSweepCommand:
         assert ("pagerank", 1.0) in failed
         assert ("markovrank", 0.0) in failed
 
+    def test_baseline_without_unique_ranking_exits_two(self, tmp_path, capsys):
+        # two closed classes of 100: epsilon = 1 maps to 1 - alpha = 2.5e-5, a multiplicity failure
+        net = tmp_path / "two.csv"
+        blocks = "100x100@1,100x100@0;100x100@0,100x100@1"
+        assert main(["gen", "--model", "block", "--blocks", blocks, "--out", str(net)]) == 0
+        assert main(["sweep", str(net)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: The multiplicity of the eigenvalue 1 is not one (got 2)\n"
+
     def test_custom_grids(self, tmp_path, capsys):
         path = write_dense(tmp_path / "d.csv", golden.EX_D)
         assert main(["sweep", str(path), "--alphas", "0.85,0.95", "--epsilons", "1"]) == 0
@@ -536,6 +565,8 @@ class TestUsageErrors:
             (["pagerank"], "the following arguments are required: input"),
             (["rank", "{net}"], "argument command: invalid choice: 'rank'"),
             (["markovrank", "{net}", "--epsilon", "x"], "argument --epsilon: invalid float value: 'x'"),
+            (["pagerank", "{net}", "--tie-tol", "abc"],
+             "argument --tie-tol: invalid float value: 'abc'"),
         ],
     )
     def test_usage_error_exits_one(self, four_node_file, capsys, argv, message):
@@ -591,6 +622,17 @@ class TestUsageErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {option} applies to --format edgelist only\n"
+
+    @pytest.mark.parametrize("method", [[], ["--method", "exact"]], ids=["default", "exact"])
+    @pytest.mark.parametrize("option, value", [("--tol", "1e-3"), ("--max-iter", "5")])
+    @pytest.mark.parametrize("command", ["pagerank", "markovrank"])
+    def test_power_options_need_power_method(self, tmp_path, capsys, command, option, value, method):
+        # refused before the input is read: the file does not exist
+        argv = [command, str(tmp_path / "missing.csv"), *method, option, value]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {option} applies to --method power only\n"
 
 
 class TestEdgeListInputs:

@@ -379,6 +379,21 @@ def test_degenerate_flag_boundary(low, degenerate):
     assert ScoreVector(np.array([low, 1.0 - low]), ("a", "b")).degenerate is degenerate
 
 
+@pytest.mark.parametrize(
+    "values, labels, message",
+    [
+        ([0.5, 0.5], ("a",), "1 labels for (2,) values"),
+        ([[0.5, 0.5]], ("a", "b"), "2 labels for (1, 2) values"),
+        ([0.5, 0.4], ("a", "b"), "scores must sum to 1, got 0.9"),
+    ],
+    ids=["label-count", "matrix", "sum"],
+)
+def test_score_vector_rejects(values, labels, message):
+    with pytest.raises(ValueError) as info:
+        ScoreVector(np.array(values), labels)
+    assert str(info.value) == message
+
+
 def test_degenerate_zero_sum_vector_raises():
     with pytest.raises(DegenerateVectorError, match="degenerate eigenvector"):
         _normalize_scores(np.array([1.0, -1.0]), ("a", "b"))

@@ -141,6 +141,24 @@ class TestGenBlock:
         with pytest.raises(ValueError, match="heights"):
             BlockSpec((((2, 4, 0.5), (3, 4, 0.5)),))
 
+    @pytest.mark.parametrize(
+        "blocks, message",
+        [
+            ((), "block grid must be non-empty"),
+            ((((2, 2, 0.5), (2, 2, 0.5)), ((2, 2, 0.5),)),
+             "block grid rows must have equal cell counts"),
+            ((((0, 3, 0.5),),), "block dimensions must be positive, got 0x3"),
+            ((((2, 2, 1.5),),), "block density must be in [0, 1], got 1.5"),
+            ((((2, 2, 0.5), (2, 3, 0.5)), ((3, 3, 0.5), (3, 3, 0.5))),
+             "grid column 0 mixes block widths"),
+        ],
+        ids=["empty", "ragged", "zero-rows", "density", "widths"],
+    )
+    def test_malformed_grid_rejected(self, blocks, message):
+        with pytest.raises(ValueError) as info:
+            BlockSpec(blocks)
+        assert str(info.value) == message
+
     def test_keep_diagonal_option(self):
         spec = BlockSpec((((3, 3, 1.0),),), zero_diagonal=False, seed=1)
         assert np.diagonal(gen_block(spec).entries).sum() == 3

@@ -35,6 +35,11 @@ class TestAdjacencyMatrix:
         with pytest.raises(ValueError, match="non-negative"):
             AdjacencyMatrix.from_entries([[0, -1], [0, 0]])
 
+    def test_rejects_no_nodes(self):
+        with pytest.raises(ValueError) as info:
+            AdjacencyMatrix.from_entries(np.zeros((0, 0)))
+        assert str(info.value) == "adjacency matrix must have at least one node"
+
     @pytest.mark.parametrize(
         "entries", [[[1e308, 1e308], [0, 1]], [[1e308, 0], [1e308, 0]], [[1.7e308] * 3] * 3]
     )
@@ -673,6 +678,13 @@ class TestCsvReaders:
         f.write_text("src,dst\na,b\n")
         with pytest.raises(ValueError, match="missing edge-list columns"):
             read_edge_list_csv(f)
+
+    def test_empty_edge_list_file(self, tmp_path):
+        f = tmp_path / "edges.csv"
+        f.write_text("")
+        with pytest.raises(ValueError) as info:
+            read_edge_list_csv(f)
+        assert str(info.value) == f"{f}: empty edge-list file"
 
     def test_edge_list_custom_columns(self, tmp_path):
         f = tmp_path / "edges.csv"

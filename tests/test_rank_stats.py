@@ -146,6 +146,11 @@ def test_compare_rejects_non_finite(bad):
             compare(np.array(x), np.array(y))
 
 
+def test_compare_rejects_a_matrix():
+    with pytest.raises(ValueError, match=r"^expected a 1-d score vector, got shape \(2, 2\)$"):
+        compare(np.full((2, 2), 0.25), np.full(4, 0.25))
+
+
 def test_compare_length_mismatch():
     with pytest.raises(ValueError, match="^length mismatch: 2 vs 3$"):
         compare(np.array([0.5, 0.5]), np.array([0.3, 0.3, 0.4]))
