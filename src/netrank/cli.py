@@ -63,7 +63,8 @@ def _format_scores(scores: ScoreVector, ranks, out_format: str) -> str:
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["label", "score", "rank"])
     score_texts = map("{:.10g}".format, scores.values.tolist())
-    writer.writerows(zip(scores.labels, score_texts, map("{:g}".format, ranks.tolist())))
+    # ranks are half-integers, which {:g} rounds from 100000 on
+    writer.writerows(zip(scores.labels, score_texts, map("{:.15g}".format, ranks.tolist())))
     return out.getvalue()
 
 

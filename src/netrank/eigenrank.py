@@ -48,13 +48,13 @@ class MultiplicityError(Exception):
 
 
 class NonConvergenceError(Exception):
-    """Power iteration hit max_iterations; carries the last iterate."""
+    """Power iteration hit max_iterations, or alternated `step` apart; carries the last iterate."""
 
-    def __init__(self, last_iterate: np.ndarray, iterations: int, tolerance: float):
-        super().__init__(
-            f"power iteration did not reach tolerance {tolerance:g} "
-            f"within {iterations} iterations"
-        )
+    def __init__(self, last_iterate: np.ndarray, iterations: int, tolerance: float, step=None):
+        where = f"within {iterations} iterations"
+        if step is not None:
+            where = f"at iteration {iterations}: it alternates between iterates {step:.3g} apart"
+        super().__init__(f"power iteration did not reach tolerance {tolerance:g} {where}")
         self.last_iterate = last_iterate
         self.iterations = iterations
 
@@ -148,16 +148,18 @@ def eigenvalue_one_space(matrix: TransitionMatrix) -> EigenSpace:
     rule, checked with a margin, would take each diagonal row and free no
     column.  Every other panel (ties such as single-out-link nodes at
     alpha = 1, pivots near the threshold) and always the last is eliminated
-    column by column: pivot search, a swap of whole rows of U and of the
-    block's multipliers, and a rank-1 update of the panel's columns only.
-    The panel's pivots then reach the block's later columns and the free
-    columns found earlier in the block, by the inverse of their 32 x 32 unit
-    lower triangle and one matrix product.  At the end of the block its
-    pivots reach the columns right of it and the free columns left of it in
-    one product of rank up to 128; its pivot rows are solved by block forward
-    substitution with the panels' inverses.  Each pivot is still chosen from
-    fully updated values, so every decision, and with it the nullity and
-    every MultiplicityError, is that of the unblocked column loop.
+    column by column: pivot search, a swap of whole rows of U, and a rank-1
+    update of the panel's columns right of the pivot.  As in getrf, each
+    multiplier lives in U, in the entry it eliminates, so a swap moves it.
+    The panel's pivots then reach the block's later columns, by the inverse
+    of their 32 x 32 unit lower triangle and one matrix product.  At the end
+    of the block its pivots reach the columns right of it in one product of
+    rank up to 128; its pivot rows are solved by block forward substitution
+    with the panels' inverses.  A free column takes the pivots right of it
+    only at nullity 1, in one forward pass before the back-substitution.
+    Each pivot is still chosen from fully updated values, so every decision,
+    and with it the nullity and every MultiplicityError, is that of the
+    unblocked column loop.
     """
     return _eliminate(matrix.entries.copy())
 
@@ -170,19 +172,17 @@ def _eliminate(U: np.ndarray) -> EigenSpace:
     m = U.shape[0]
     threshold = PIVOT_TOL * m
     np.fill_diagonal(U, U.diagonal() - 1.0)  # M - I without an m x m identity
-    L = np.empty((m, _BLOCK))  # multipliers of the current block, by pivot
-    pivot_rows: list[tuple[int, int]] = []
+    pivot_rows: list[tuple[int, int]] = []  # the i-th pivot is in row i
     free: list[int] = []
     r = 0
     for b0 in range(0, m, _BLOCK):
         b1 = min(b0 + _BLOCK, m)
-        rb, free_left = r, len(free)
-        panels = []  # (first pivot row, unit lower inverse) of each panel with pivots
+        rb, panels = r, []  # panels: (first pivot row, unit lower inverse) of each with pivots
         for c0 in range(b0, b1, _PANEL):
             c1 = min(c0 + _PANEL, b1)
-            r0, free_here, L_panel = r, free[free_left:], L[:, r - rb :]
+            r0 = r
             # a unique ranking leaves its free column in the last panel: the column loop finds it
-            if c1 < m and _panel_without_swaps(U, L_panel, r, c0, c1, threshold):
+            if c1 < m and _panel_without_swaps(U, r, c0, c1, threshold):
                 pivot_rows += zip(range(r, r + c1 - c0), range(c0, c1))
                 r += c1 - c0
             else:
@@ -193,25 +193,24 @@ def _eliminate(U: np.ndarray) -> EigenSpace:
                         continue
                     if i != r:
                         U[[r, i]] = U[[i, r]]
-                        L[[r, i], : r - rb] = L[[i, r], : r - rb]
-                    L[r + 1 :, r - rb] = U[r + 1 :, c] / U[r, c]
-                    # from c0, not c: free columns of this panel keep their updates
-                    U[r + 1 :, c0:c1] -= L[r + 1 :, r - rb, None] * U[r, c0:c1]
+                    U[r + 1 :, c] /= U[r, c]
+                    U[r + 1 :, c + 1 : c1] -= U[r + 1 :, c, None] * U[r, c + 1 : c1]
                     pivot_rows.append((r, c))
                     r += 1
             if r > r0:
-                k = r - r0
-                panels.append((r0, np.linalg.inv(np.tril(L_panel[r0:r, :k], -1) + np.eye(k))))
-                for cols in (free_here, slice(c1, b1)):
-                    _apply_pivots(U, L_panel, panels[-1:], r0, r, cols)
+                L = _multipliers(U, pivot_rows[r0:])
+                panels.append((r0, np.linalg.inv(np.tril(L[r0:r], -1) + np.eye(r - r0))))
+                _apply_pivots(U, L, panels[-1:], r0, r, slice(c1, b1))
         if r > rb:
-            for cols in (free[:free_left], slice(b1, m)):
-                _apply_pivots(U, L, panels, rb, r, cols)
+            _apply_pivots(U, _multipliers(U, pivot_rows[rb:]), panels, rb, r, slice(b1, m))
     nullity = m - r
     if nullity != 1:
         return EigenSpace(nullity, None)
+    f = free[0]
+    for row, c in pivot_rows[f:]:  # the pivots right of the free column, which skipped it
+        U[row + 1 :, f] -= U[row + 1 :, c] * U[row, f]
     x = np.zeros(m)
-    x[free[0]] = 1.0
+    x[f] = 1.0
     for row, c in reversed(pivot_rows):
         x[c] = -(U[row] @ x) / U[row, c]
     return EigenSpace(1, x)
@@ -222,9 +221,7 @@ def _eliminate(U: np.ndarray) -> EigenSpace:
 _RULE_MARGIN = 1e-9
 
 
-def _panel_without_swaps(
-    U: np.ndarray, L: np.ndarray, r: int, c0: int, c1: int, threshold: float
-) -> bool:
+def _panel_without_swaps(U: np.ndarray, r: int, c0: int, c1: int, threshold: float) -> bool:
     """Factor panel c0..c1-1 from row r with no row swap, if partial pivoting would make none.
 
     Factors a copy of the diagonal block U[r:r+w, c0:c1] without pivoting;
@@ -233,9 +230,9 @@ def _panel_without_swaps(
     |l| < 1 - _RULE_MARGIN and every pivot exceeds (1 + _RULE_MARGIN) *
     threshold: the column loop would then take each diagonal row (argmax
     returns the first maximum) and free no column, so the decisions are the
-    same and only the rounding differs.  Kept, the multipliers go to
-    L[r:, :w] and the factored block to the panel's rows of U, and it
-    returns True; refused, it returns False and has written nothing.
+    same and only the rounding differs.  Kept, the factored block and the
+    multipliers below it go to the panel's columns of U, and it returns
+    True; refused, it returns False and has written nothing.
     """
     w = c1 - c0
     block = U[r : r + w, c0:c1].copy()
@@ -253,31 +250,33 @@ def _panel_without_swaps(
     below = U[r + w :, c0:c1] @ np.linalg.inv(upper)
     if not (np.abs(below) < top).all():
         return False
-    L[r : r + w, :w] = block  # the solves read only its strict lower triangle
-    L[r + w :, :w] = below
     U[r : r + w, c0:c1] = block
+    U[r + w :, c0:c1] = below
     return True
 
 
-def _apply_pivots(U: np.ndarray, L: np.ndarray, panels, r0: int, r: int, cols) -> None:
+def _multipliers(U: np.ndarray, pivots: list[tuple[int, int]]) -> np.ndarray:
+    """These pivots' multipliers: their columns of U, copied only if a free column splits them."""
+    c0, c1 = pivots[0][1], pivots[-1][1] + 1
+    return U[:, c0:c1] if c1 - c0 == len(pivots) else U[:, [c for _, c in pivots]]
+
+
+def _apply_pivots(U: np.ndarray, L: np.ndarray, panels, r0: int, r: int, cols: slice) -> None:
     """Eliminate, in columns `cols` of U, with the pivots of rows r0..r-1.
 
-    L[:, :r - r0] holds their multipliers, and `panels` the first row and
-    unit lower inverse of each panel among them.  The pivot rows are solved
-    by block forward substitution, one product with each inverse (for 32 x m
-    right-hand sides, ~10x faster than np.linalg.solve), and the rows below
-    take one product with all the multipliers.
+    Column i of L holds the multipliers of pivot r0 + i, and `panels` the
+    first row and unit lower inverse of each panel among them.  The pivot
+    rows are solved by block forward substitution, one product with each
+    inverse (for 32 x m right-hand sides, ~10x faster than np.linalg.solve),
+    and the rows below take one product with all the multipliers.
     """
-    top = U[r0:r, cols]  # a view for a slice of columns, a copy for a list
-    if not top.size:
-        return
+    top = U[r0:r, cols]
     for p0, inverse in panels:
         j, k = p0 - r0, len(inverse)
         if j:
             top[j : j + k] -= L[p0 : p0 + k, :j] @ top[:j]
         top[j : j + k] = inverse @ top[j : j + k]
-    U[r0:r, cols] = top
-    U[r:, cols] -= L[r:, : r - r0] @ top
+    U[r:, cols] -= L[r:] @ top
 
 
 def stationary_power(
@@ -286,8 +285,8 @@ def stationary_power(
     """Iterate x_k = M x_{k-1} from the uniform vector until successive iterates agree.
 
     The scores are labelled "1".."m".  Raises NonConvergenceError (carrying
-    the last iterate) if max_iterations is exhausted, as happens on periodic
-    non-regular chains.
+    the last iterate) if max_iterations is exhausted or the iterates
+    alternate, as happens on periodic non-regular chains.
     """
     return _iterate(matrix.entries.__matmul__, default_labels(matrix.m), cfg)
 
@@ -299,15 +298,20 @@ def _iterate(
 
     The loop of stationary_power and of power rankings: it stops when the
     max-abs successive difference reaches cfg.tolerance and raises
-    NonConvergenceError after cfg.max_iterations steps.
+    NonConvergenceError after cfg.max_iterations steps, or at once when an
+    iterate repeats the one two steps before (a periodic chain, or rounding
+    that alternates above the tolerance), as it then would for ever.
     """
-    x = np.full(len(labels), 1.0 / len(labels))
+    x = x_back = np.full(len(labels), 1.0 / len(labels))
+    diff_back = None
     for k in range(1, cfg.max_iterations + 1):
         x_next = step(x)
         diff = np.abs(x_next - x).max()
-        x = x_next
         if diff <= cfg.tolerance:
-            return ScoreVector(x, labels, iterations=k)
+            return ScoreVector(x_next, labels, iterations=k)
+        if diff == diff_back and np.array_equal(x_next, x_back):  # arrays only if the step repeats
+            raise NonConvergenceError(x_next, k, cfg.tolerance, diff)
+        x, x_back, diff_back = x_next, x, diff
     raise NonConvergenceError(x, cfg.max_iterations, cfg.tolerance)
 
 

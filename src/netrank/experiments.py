@@ -164,9 +164,15 @@ class SweepReport:
         for r in self.records:
             # csv writes None as an empty field
             writer.writerow(
-                {**vars(r), "parameter": f"{r.parameter:g}", "baseline": f"{r.baseline:g}"}
+                {**vars(r), "parameter": _exact(r.parameter), "baseline": _exact(r.baseline)}
             )
         return out.getvalue()
+
+
+def _exact(value: float) -> str:
+    """{:g} where it reads back as value, repr where it would round (0.9999999 to 1)."""
+    text = f"{value:g}"
+    return text if float(text) == value else repr(value)
 
 
 def invariance_sweep(

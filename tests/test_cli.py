@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from contextlib import contextmanager
@@ -10,8 +11,8 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from netrank import experiments
-from netrank.cli import _read_score_csv, main, parse_block_spec
+from netrank import ScoreVector, experiments
+from netrank.cli import _format_scores, _read_score_csv, main, parse_block_spec
 
 import golden
 
@@ -96,6 +97,18 @@ class TestPagerankCommand:
             '  {\n    "label": "2",\n    "score": 0.5,\n    "rank": 1.5\n  }\n]\n'
         )
 
+    def test_csv_ranks_print_exactly(self):
+        scores = ScoreVector(np.full(4, 0.25), ("a", "b", "c", "d"))
+        ranks = np.array([100000.5, 999999.5, 1000001.0, 1e6])
+        assert _format_scores(scores, ranks, "csv") == (
+            "label,score,rank\na,0.25,100000.5\nb,0.25,999999.5\nc,0.25,1000001\nd,0.25,1000000\n"
+        )
+        # below 100000 the bytes are those of {:g}
+        ranks = np.array([1.0, 2.5, 12345.5, 99999.5])
+        assert _format_scores(scores, ranks, "csv") == (
+            "label,score,rank\na,0.25,1\nb,0.25,2.5\nc,0.25,12345.5\nd,0.25,99999.5\n"
+        )
+
     def test_byte_order_mark_not_in_header_label(self, tmp_path, capsys):
         path = tmp_path / "bom.csv"
         path.write_text("\ufeffa,b\n0,1\n1,0\n", encoding="utf-8")
@@ -127,6 +140,24 @@ class TestPagerankCommand:
         exact = capsys.readouterr().out
         assert main([command, six_node_file, "--method", "power"]) == 0
         assert capsys.readouterr().out == exact
+
+    def test_power_iterates_that_alternate_fail_at_once(self, tmp_path, capsys):
+        # every leaf follows the hub: at 1e-15 the iterates settle into a
+        # rounding 2-cycle, about 180 steps in, which no step limit would end soon
+        star = tmp_path / "star.csv"
+        star.write_text("following,followed\n" + "".join(f"u{i},hub\n" for i in range(1, 20001)))
+        argv = ["pagerank", str(star), "--format", "edgelist", "--method", "power"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        found = re.fullmatch(
+            r"error: power iteration did not reach tolerance 1e-15 at iteration (\d+): "
+            r"it alternates between iterates (\S+) apart\n",
+            err,
+        )
+        assert found and int(found[1]) < 1000 and 1e-15 < float(found[2]) < 1e-9, err
+        assert main([*argv, "--tol", "1e-9"]) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert {r["rank"] for r in rows if r["label"] != "hub"} == {"10000.5"}
 
     def test_zero_max_iter_exits_one(self, four_node_file, capsys):
         argv = ["pagerank", four_node_file, "--method", "power", "--max-iter", "0"]
@@ -528,6 +559,13 @@ class TestSweepCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["alphas"] == [0.85, 0.95]
         assert len(payload["records"]) == 3
+
+    def test_csv_parameters_near_one_stay_distinct(self, tmp_path, capsys):
+        path = write_dense(tmp_path / "d.csv", golden.EX_D)
+        argv = ["sweep", str(path), "--alphas", "0.9999999,1", "--epsilons", "1", "--out", "csv"]
+        assert main(argv) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert [float(r["parameter"]) for r in rows] == [0.9999999, 1.0, 1.0]
 
     @pytest.mark.parametrize("grid", [",", " , ", ""])
     @pytest.mark.parametrize("option", ["--alphas", "--epsilons"])

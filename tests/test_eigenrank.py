@@ -147,13 +147,25 @@ class TestStationaryPower:
         np.testing.assert_allclose(scores.values, golden.FOUR_NODE_POWER_1E6, atol=1e-6)
 
     def test_periodic_chain_does_not_converge(self):
-        # 1 -> {2, 3}, 2 -> 1, 3 -> 1: from uniform, (2/3, 1/6, 1/6) and back
+        # 1 -> {2, 3}, 2 -> 1, 3 -> 1: from uniform, (2/3, 1/6, 1/6) and back,
+        # so the second iterate repeats the start and the iteration stops there
         star = TransitionMatrix(np.array([[0.0, 1.0, 1.0], [0.5, 0.0, 0.0], [0.5, 0.0, 0.0]]))
         cfg = PowerIterConfig(tolerance=1e-12, max_iterations=500)
-        with pytest.raises(NonConvergenceError) as err:
+        with pytest.raises(NonConvergenceError, match="at iteration 2: .* 0.333 apart") as err:
             stationary_power(star, cfg)
-        assert err.value.iterations == 500
+        assert err.value.iterations == 2
         np.testing.assert_allclose(err.value.last_iterate, np.full(3, 1 / 3))
+
+    def test_period_three_chain_runs_to_the_step_limit(self):
+        # 1 -> {2, 3}, 2 -> 4, 3 -> 4, 4 -> 1: the iterates cycle with period 3,
+        # so none repeats the one two steps before
+        M = np.zeros((4, 4))
+        M[[1, 2], 0] = 0.5
+        M[3, [1, 2]] = M[0, 3] = 1.0
+        cfg = PowerIterConfig(tolerance=1e-12, max_iterations=50)
+        with pytest.raises(NonConvergenceError, match="within 50 iterations") as err:
+            stationary_power(TransitionMatrix(M), cfg)
+        assert err.value.iterations == 50
 
     @pytest.mark.parametrize("tol", [0.0, -1e-6, np.nan])
     def test_non_positive_tolerance_rejected(self, tol):
@@ -696,8 +708,7 @@ def dense_two_classes(m, a):
 
 
 def keeps_first_panel(U, threshold):
-    m = U.shape[0]
-    return _panel_without_swaps(U, np.empty((m, _PANEL)), 0, 0, _PANEL, threshold)
+    return _panel_without_swaps(U, 0, 0, _PANEL, threshold)
 
 
 @pytest.mark.parametrize(

@@ -289,6 +289,13 @@ class TestSweepSerialization:
         failed = [r for r in payload["records"] if r["multiplicity_failure"]]
         assert all(r["agreement"] is None for r in failed)
 
+    def test_csv_parameters_read_back_exactly(self):
+        # {:g} where it is exact, so the default grids print as before
+        report = invariance_sweep(golden.K2, alphas=(0.9999999, 1.0, 0.85), epsilons=(1e-7, 0.1))
+        rows = list(csv.DictReader(io.StringIO(report.to_csv())))
+        assert [r["parameter"] for r in rows] == ["0.9999999", "1", "0.85", "1e-07", "0.1"]
+        assert [r["baseline"] for r in rows] == ["0.85"] * 3 + ["1"] * 2
+
     def test_csv_shape(self):
         report = invariance_sweep(golden.K2, alphas=(0.85,), epsilons=(0.0, 1.0))
         rows = list(csv.reader(io.StringIO(report.to_csv())))
