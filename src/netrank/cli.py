@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -59,12 +60,17 @@ def _format_scores(scores: ScoreVector, ranks, out_format: str) -> str:
             for label, s, r in zip(scores.labels, scores.values, ranks)
         ]
         return json.dumps(records, indent=2) + "\n"
+    values, rank_values = scores.values.tolist(), ranks.tolist()
+    joined = "".join(scores.labels)
+    # ranks are half-integers, which {:g} rounds from 100000 on
+    if not any(c in joined for c in ',"\r\n\0'):  # no label that csv.writer would quote
+        return "label,score,rank\n" + "".join(
+            map("{},{:.10g},{:.15g}\n".format, scores.labels, values, rank_values))
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["label", "score", "rank"])
-    score_texts = map("{:.10g}".format, scores.values.tolist())
-    # ranks are half-integers, which {:g} rounds from 100000 on
-    writer.writerows(zip(scores.labels, score_texts, map("{:.15g}".format, ranks.tolist())))
+    writer.writerows(zip(scores.labels, map("{:.10g}".format, values),
+                         map("{:.15g}".format, rank_values)))
     return out.getvalue()
 
 
@@ -101,6 +107,8 @@ def _read_score_csv(path) -> tuple[list[str], list[float]]:
     for k, (label, score) in enumerate(zip(fields[0::2], fields[1::2])):
         if label is None:
             fail(k, "row has no label")
+        if not label:
+            fail(k, "row has an empty 'label' field")
         try:
             scores.append(float(score))
         except (TypeError, ValueError):
@@ -278,9 +286,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main uses, built on its first call: parse_args leaves a parser unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on a usage error; 2 means multiplicity here
         if exc.code == 2:
             return EXIT_INPUT

@@ -210,10 +210,12 @@ def _load_dense(text: str, source: str) -> AdjacencyMatrix:
         line = at[c] if r > c else at[0]
         raise ValueError(f"{source}, line {line}: dense matrix must be square, got {r}x{c}")
     labels = tuple(header) if header is not None else default_labels(r)
-    if len(labels) != c or len(set(labels)) != len(labels):
+    if len(labels) != c or "" in labels or len(set(labels)) != len(labels):
         where = f"{source}, line {header_line}: header"
         if len(labels) != c:
             raise ValueError(f"{where} has {len(labels)} labels for {c} columns")
+        if "" in labels:
+            raise ValueError(f"{where} has an empty label in column {labels.index('') + 1}")
         repeat = next(l for i, l in enumerate(labels) if l in labels[:i])
         raise ValueError(f"{where} repeats label {repeat!r}")
     return AdjacencyMatrix(_adopt(entries), labels)
@@ -284,28 +286,38 @@ def _split_csv(path) -> Optional[tuple[list[str], list[str]]]:
 
     That is a text with no '"' or NUL, a header on its first line, and the
     header's number of fields on each non-blank line, none longer than
-    csv.field_size_limit().  One join and one split read it, with no per-row
-    Python, and csv.reader would give the same rows.  A file that is not
-    UTF-8 raises _decode's ValueError.
+    csv.field_size_limit().  One numpy scan of the text's UTF-8 bytes checks
+    the lines, and one replace and one split read the fields, with no per-line
+    Python; csv.reader would give the same rows.  A line is measured in bytes,
+    which are at least its characters, so a line refused for its length still
+    reads the same through csv.reader.  A file that is not UTF-8 raises
+    _decode's ValueError.
     """
     text = _read_text(path)
-    # each copy is freed once the next is made, to keep the peak down
     if '"' in text or "\0" in text:
         return None
-    lines = _lines(text)
-    del text
-    if not lines[0]:  # an empty file, or a blank line before the header
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    data = np.frombuffer(text.encode(), np.uint8)
+    ends = np.append(np.flatnonzero(data == ord("\n")), len(data))  # each line's end
+    at = np.flatnonzero(data == ord(","))
+    del data
+    starts = np.append(0, ends[:-1] + 1)
+    commas = at.searchsorted(ends) - at.searchsorted(starts)
+    blank = ends == starts  # an empty file is one blank line
+    refused = (blank[0] or (ends - starts).max() > csv.field_size_limit()
+               or (commas[~blank] != commas[0]).any())
+    blanks = int(blank.sum())
+    del ends, starts, at, commas, blank  # freed before the split, to keep the peak down
+    if refused:
         return None
-    body = [*filter(None, lines)]  # blank lines are skipped, as _read_columns skips them
-    del lines
-    header = body[0].split(",")
-    if (max(map(len, body)) > csv.field_size_limit()
-            or set(map(str.count, body, repeat(","))) != {len(header) - 1}):
-        return None
-    del body[0]
-    text = ",".join(body)
-    del body
-    return header, text.split(",") if text else []
+    if blanks > text.endswith("\n"):  # blank lines are skipped, as _read_columns skips them
+        text = re.sub("\n\n+", "\n", text)
+    header, _, text = text.removesuffix("\n").partition("\n")
+    text = text.replace("\n", ",")
+    fields = text.split(",") if text else []
+    del text  # before the header's list is made: the peak is the text and its fields
+    return header.split(","), fields
 
 
 # one line as a file opened with newline="" reads it: up to and with its \n, \r\n or \r

@@ -120,6 +120,7 @@ class TestPagerankCommand:
         [
             ("a,a\n0,1\n1,0\n", "header repeats label 'a'"),
             ("a,b,c\n0,1\n1,0\n", "header has 3 labels for 2 columns"),
+            (",b\n0,1\n1,0\n", "header has an empty label in column 1"),
         ],
     )
     def test_bad_header_names_file_and_line(self, tmp_path, capsys, text, problem):
@@ -321,6 +322,17 @@ class TestCompareCommand:
         assert main(["compare", str(path), str(path)]) == 1
         assert capsys.readouterr().err == f"error: {path}, line 3: row has no label\n"
 
+    @pytest.mark.parametrize(
+        "text", ["label,score\na,0.5\n,0.5\n", "score,label\n1,a\n0.5, \n0.5,\n"]
+    )
+    def test_empty_label_names_file_and_line(self, tmp_path, capsys, text):
+        # a label of one space is a label; only an empty one is refused, on the last line
+        path = tmp_path / "a.csv"
+        path.write_text(text)
+        assert main(["compare", str(path), str(path)]) == 1
+        where = f"{path}, line {text.count(chr(10))}"
+        assert capsys.readouterr().err == f"error: {where}: row has an empty 'label' field\n"
+
 
 @contextmanager
 def _open_csv(path):
@@ -344,6 +356,8 @@ def dict_reader_scores(path):
             label = row["label"]
             if label is None:
                 raise ValueError(f"{where}: row has no label")
+            if not label:
+                raise ValueError(f"{where}: row has an empty 'label' field")
             try:
                 scores.append(float(row["score"]))
             except (TypeError, ValueError):
@@ -941,6 +955,21 @@ class TestModuleEntryPoint:
         result = self.run_module("pagerank")
         assert result.returncode == 1
         assert "error: the following arguments are required: input" in result.stderr
+
+    def test_a_usage_error_leaves_the_next_call_as_in_a_fresh_process(
+        self, four_node_file, capsys, monkeypatch
+    ):
+        # main parses every call with one parser, built on its first call
+        monkeypatch.setenv("COLUMNS", "80")  # the usage text's width, here and in the child
+        for argv in (
+            ["pagerank", four_node_file, "--alpha"],
+            ["pagerank", four_node_file, "--alpha", "0.5"],
+            ["markovrank", four_node_file, "--method", "power", "--out", "json"],
+            ["pagerank", four_node_file, "--epsilon", "1"],
+        ):
+            fresh = self.run_module(*argv)
+            assert main(argv) == fresh.returncode
+            assert capsys.readouterr() == (fresh.stdout, fresh.stderr)
 
     def test_cli_module_runs_the_cli(self, tmp_path):
         result = self.run_module("pagerank", str(tmp_path / "missing.csv"), module="netrank.cli")

@@ -2,11 +2,13 @@
 
 The oracle below is the reader, roster reader and loader as they were before
 the CLI read edge lists straight into one flat label list; cli._load_network
-must give the same labels, edges and out-degrees, or the same message.
+must give the same labels, edges and out-degrees, or the same message.  At the
+other end, the CLI's CSV score rows must be those csv.writer writes.
 """
 
 import argparse
 import csv
+import io
 import tracemalloc
 from contextlib import contextmanager
 from itertools import repeat
@@ -17,8 +19,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from netrank import AdjacencyMatrix, read_edge_list_csv, read_roster_csv
-from netrank.cli import _load_network, _read_score_csv, main
+from netrank import AdjacencyMatrix, ScoreVector, read_edge_list_csv, read_roster_csv
+from netrank.cli import _format_scores, _load_network, _read_score_csv, main
 from netrank.graph_core import _check_field, _split_csv
 from test_cli import dict_reader_scores
 
@@ -223,6 +225,33 @@ def test_score_reader_matches_dict_reader_on_generated_files(tmp_path, text):
     assert outcome(_read_score_csv, path) == outcome(dict_reader_scores, path)
 
 
+def csv_writer_scores(scores: ScoreVector, ranks: np.ndarray) -> str:
+    """_format_scores(..., "csv") through csv.writer alone, as an oracle."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["label", "score", "rank"])
+    writer.writerows(zip(scores.labels, map("{:.10g}".format, scores.values.tolist()),
+                         map("{:.15g}".format, ranks.tolist())))
+    return out.getvalue()
+
+
+# labels csv.writer writes as they are, and any text: NUL, \r, leading spaces, ""
+LABELS = (st.sampled_from(PLAIN + SPECIAL) | st.text(st.sampled_from([*'\0\r\n", a', "é"]))
+          | st.text())
+TINY = st.sampled_from([1e-300, 2.5e-300, 1e-17, 1e-12]) | st.floats(1e-300, 1e-3)
+RANKS = (st.sampled_from([1.0, 1.5, 99999.5, 100000.5, 999999.5, 1e6])
+         | st.integers(2, 10**7).map(lambda k: k / 2))
+
+
+@given(st.lists(st.sampled_from(PLAIN), min_size=1, unique=True)
+       | st.lists(LABELS, min_size=1, max_size=8, unique=True), st.data())
+def test_score_rows_match_csv_writer(labels, data):
+    rest = data.draw(st.lists(TINY, min_size=len(labels) - 1, max_size=len(labels) - 1))
+    scores = ScoreVector(np.array([1 - sum(rest), *rest]), labels)
+    ranks = np.array(data.draw(st.lists(RANKS, min_size=len(labels), max_size=len(labels))))
+    assert _format_scores(scores, ranks, "csv") == csv_writer_scores(scores, ranks)
+
+
 @pytest.mark.parametrize(
     "text, split",
     [
@@ -241,10 +270,17 @@ def test_score_reader_matches_dict_reader_on_generated_files(tmp_path, text):
         ("x,y\na\n", None),
         (f"x,y\n{'a' * 70_000},{'b' * 70_000}\n", None),
         (b"x,y\na,\xff\n", ValueError),
+        # 70,002 characters, under the limit, but 140,002 bytes, over it
+        (f"x,y\n{'é' * 70_000},b\n", None),
+        ("x,y\ra,b\rc,d", (["x", "y"], ["a", "b", "c", "d"])),
+        ("x,y\n\n\n", (["x", "y"], [])),
+        ("x,y\na,b\nc", None),
     ],
     ids=["plain", "bom-blank-rows", "empty-field", "header-only", "other-line-breaks",
          "empty", "blank-first-line", "blank-first-crlf", "quote", "crlf-and-cr", "nul",
-         "long-row", "short-row", "line-over-field-limit", "not-utf8"],
+         "long-row", "short-row", "line-over-field-limit", "not-utf8",
+         "bytes-over-field-limit", "cr-no-final-break", "header-then-blank-lines",
+         "short-last-row-no-final-break"],
 )
 def test_split_takes_only_what_csv_splits_at_every_comma(tmp_path, text, split):
     f = tmp_path / "in.csv"
@@ -259,10 +295,13 @@ def test_split_takes_only_what_csv_splits_at_every_comma(tmp_path, text, split):
 
 
 def test_line_over_the_field_limit_with_short_fields_reads_as_before(tmp_path):
-    # the split refuses the line; csv.reader reads its two 70,000-character fields
+    # the split refuses each line; csv.reader reads its two 70,000-character fields,
+    # and the fields of the line that is over the limit in bytes only
     f = tmp_path / "edges.csv"
-    f.write_text(f"x,y\n{'a' * 70_000},{'b' * 70_000}\nc,d\n", encoding="utf-8")
-    assert outcome(cli_ingest, f, None, ("x", "y")) == outcome(oracle_ingest, f, None, ("x", "y"))
+    for line in (f"{'a' * 70_000},{'b' * 70_000}", f"{'é' * 70_000},b"):
+        f.write_text(f"x,y\n{line}\nc,d\n", encoding="utf-8")
+        expected = outcome(oracle_ingest, f, None, ("x", "y"))
+        assert outcome(cli_ingest, f, None, ("x", "y")) == expected
 
 
 def test_undecodable_edge_file_reports_as_before(tmp_path):

@@ -347,6 +347,9 @@ class TestLoadDenseMatrix:
         [
             ("a,a\n0,1\n1,0", "line 1: header repeats label 'a'"),
             ("a,b,c\n0,1\n1,0", "line 1: header has 3 labels for 2 columns"),
+            (",b\n0,1\n1,0", "line 1: header has an empty label in column 1"),
+            ("a,  \n0,1\n1,0", "line 1: header has an empty label in column 2"),
+            (",\n0,1\n1,0", "line 1: header has an empty label in column 1"),
             ("\n  \nb a b\n0 1 0\n1 0 1\n0 1 0", "line 3: header repeats label 'b'"),
             # \x0c and \x85 end no line: the header is on line 2
             ("\x0c\x85\r\nx,x\n0,1\n1,0", "line 2: header repeats label 'x'"),
