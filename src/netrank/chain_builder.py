@@ -62,14 +62,26 @@ def transition_generalized_inverse(adj: AdjacencyMatrix) -> TransitionMatrix:
     Columns are divided by their out-degree, not multiplied by its
     reciprocal, so the result equals the patched route bit for bit.
     """
-    # the layout of A^T fixes the rounding of M @ x in stationary_power
-    return TransitionMatrix(_adopt(_generalized_inverse(adj, np.empty_like(adj.entries.T))))
+    # the layout of A^T fixes the rounding of M @ x in stationary_power; an
+    # edge-backed adjacency would scatter a C-ordered `entries`
+    out = (np.zeros_like(adj.entries.T) if "entries" in vars(adj)
+           else np.zeros((adj.n, adj.n), order="F"))
+    return TransitionMatrix(_adopt(_generalized_inverse(adj, out)))
 
 
 def _generalized_inverse(adj: AdjacencyMatrix, out: np.ndarray) -> np.ndarray:
-    """Write the entries of transition_generalized_inverse(adj) into `out`, n x n."""
+    """Write the entries of transition_generalized_inverse(adj) into `out`, n x n of zeros.
+
+    An edge-backed adjacency (see AdjacencyMatrix) scatters weight / out-degree
+    per edge, and a dense one divides its entries without making its edges:
+    the same division either way.
+    """
     deg = adj._out_degrees
-    np.divide(adj.entries.T, np.where(deg > 0, deg, 1.0), out=out)
+    if "_edges" in vars(adj):
+        src, dst, weights = adj._edges
+        out[dst, src] = weights / deg[src]
+    else:
+        np.divide(adj.entries.T, np.where(deg > 0, deg, 1.0), out=out)
     out[:, deg == 0] = 1.0 / adj.n
     return out
 
@@ -115,7 +127,8 @@ def _damped_operator(adj: AdjacencyMatrix, alpha: float) -> Callable[[np.ndarray
     dangling = np.flatnonzero(deg == 0)
 
     def step(x: np.ndarray) -> np.ndarray:
-        y = np.bincount(dst, weights * x[src], minlength=n)
+        # float64 without a copy: with no edges, bincount counts in int64
+        y = np.bincount(dst, weights * x[src], minlength=n).astype(float, copy=False)
         y += x[dangling].sum() / n
         y *= alpha
         y += (1.0 - alpha) * x.sum() / n

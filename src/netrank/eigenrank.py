@@ -153,10 +153,11 @@ def eigenvalue_one_space(matrix: TransitionMatrix) -> EigenSpace:
     multiplier lives in U, in the entry it eliminates, so a swap moves it.
     The panel's pivots then reach the block's later columns, by the inverse
     of their 32 x 32 unit lower triangle and one matrix product.  At the end
-    of the block its pivots reach the columns right of it in one product of
-    rank up to 128; its pivot rows are solved by block forward substitution
-    with the panels' inverses.  A free column takes the pivots right of it
-    only at nullity 1, in one forward pass before the back-substitution.
+    of the block its pivots reach the columns right of it, 128 columns at a
+    time, in products of rank up to 128; its pivot rows are solved by block
+    forward substitution with the panels' inverses.  A free column takes the
+    pivots right of it only at nullity 1, in one forward pass before the
+    back-substitution.
     Each pivot is still chosen from fully updated values, so every decision,
     and with it the nullity and every MultiplicityError, is that of the
     unblocked column loop.
@@ -202,7 +203,9 @@ def _eliminate(U: np.ndarray) -> EigenSpace:
                 panels.append((r0, np.linalg.inv(np.tril(L[r0:r], -1) + np.eye(r - r0))))
                 _apply_pivots(U, L, panels[-1:], r0, r, slice(c1, b1))
         if r > rb:
-            _apply_pivots(U, _multipliers(U, pivot_rows[rb:]), panels, rb, r, slice(b1, m))
+            L = _multipliers(U, pivot_rows[rb:])
+            for s0 in range(b1, m, _BLOCK):  # its product temporary is (m - r) x 128 at most
+                _apply_pivots(U, L, panels, rb, r, slice(s0, s0 + _BLOCK))
     nullity = m - r
     if nullity != 1:
         return EigenSpace(nullity, None)
@@ -335,17 +338,18 @@ def pagerank(
     uniform, and the scores are the normalized fixed-point vector of the
     damped chain.
 
-    method="exact" builds and damps the chain in one n x n array and
-    eliminates in it, with no copy; it raises MultiplicityError when the
-    eigenspace is not one-dimensional, which can happen only at alpha = 1 or
-    within the pivot tolerance of it.  method="power" builds no n x n array:
+    method="exact" builds and damps the chain in one n x n array, from the
+    edges of an edge-backed adjacency, and eliminates in it, with no copy and
+    no n x n temporary; it raises MultiplicityError when the eigenspace is
+    not one-dimensional, which can happen only at alpha = 1 or within the
+    pivot tolerance of it.  method="power" builds no n x n array:
     it applies the damped chain from the adjacency's edges, with zero rows
     as a rank-one dangling term, and iterates to the fixed point (cfg, by
     default PowerIterConfig()); it raises NonConvergenceError on periodic chains.
     """
     if method == "exact":
         _check_alpha(alpha)  # before the n x n chain is allocated
-        chain = _generalized_inverse(adj, np.empty((adj.n, adj.n)))
+        chain = _generalized_inverse(adj, np.zeros((adj.n, adj.n)))
         space = _eliminate(_damp(chain, alpha))
         if space.multiplicity != 1:
             raise MultiplicityError(space.multiplicity)

@@ -44,8 +44,9 @@ class AdjacencyMatrix:
 
     Entries are 0/1 for simple digraphs, but any non-negative weights are
     accepted.  Instances are immutable; the entry array is read-only.
-    load_edge_list stores its matrix as edges, and `entries` is scattered
-    from them on first access; power rankings read the edges instead.
+    load_edge_list and read_dense_csv of a file in gen's layout store their
+    matrix as weighted edges, and `entries` is scattered from them on first
+    access; rankings read the edges instead, so they build no n x n adjacency.
     """
 
     labels: tuple[str, ...]
@@ -74,12 +75,15 @@ class AdjacencyMatrix:
         vars(self).update(entries=e, labels=labels, _out_degrees=_adopt(deg))
 
     @classmethod
-    def _from_edges(cls, src: np.ndarray, dst: np.ndarray, labels: tuple[str, ...]):
-        """Unchecked 0/1 adjacency of distinct edges (src[k], dst[k]) in row-major order."""
+    def _from_edges(cls, src: np.ndarray, dst: np.ndarray, labels: tuple[str, ...],
+                    weights: Optional[np.ndarray] = None):
+        """Unchecked adjacency of distinct edges (src[k], dst[k]) in row-major order, with
+        positive float64 `weights` (1 if None); integer weights sum to exact out-degrees."""
         adj = cls.__new__(cls)
-        deg = np.bincount(src, minlength=len(labels)).astype(float)  # exact for 0/1
-        edges = (_adopt(src), _adopt(dst), np.broadcast_to(1.0, src.shape))
-        vars(adj).update(labels=labels, _edges=edges, _out_degrees=_adopt(deg))
+        deg = np.bincount(src, weights, minlength=len(labels)).astype(float, copy=False)
+        weights = np.broadcast_to(1.0, src.shape) if weights is None else _adopt(weights)
+        vars(adj).update(labels=labels, _edges=(_adopt(src), _adopt(dst), weights),
+                         _out_degrees=_adopt(deg))
         return adj
 
     @property
@@ -94,8 +98,9 @@ class AdjacencyMatrix:
     # computed on first use: `entries` by an edge-backed instance, `_edges` by a dense one
     @cached_property
     def entries(self) -> np.ndarray:
+        src, dst, weights = self._edges
         e = np.zeros((self.n, self.n))
-        e[self._edges[:2]] = 1.0
+        e[src, dst] = weights
         return _adopt(e)
 
     @cached_property
@@ -222,7 +227,7 @@ def _load_dense(text: str, source: str) -> AdjacencyMatrix:
 
 
 def _digit_grid(data: bytes) -> Optional[np.ndarray]:
-    r"""The entries of a file's bytes in gen's layout, or None for the general parser.
+    r"""The uint8 entries of a file's bytes in gen's layout, or None for the general parser.
 
     The layout is n lines "d,d,...,d\n" of n cells, each one ASCII digit;
     \r\n may end a line, the last line break may be missing, and the bytes
@@ -243,7 +248,7 @@ def _digit_grid(data: bytes) -> Optional[np.ndarray]:
     if ((digits > 9).any() or (grid[:, 1:-1:2] != ord(",")).any()
             or (grid[:, -1] != ord("\n")).any()):
         return None
-    return digits.astype(float)
+    return digits
 
 
 def _digit_grid_bytes(entries: np.ndarray) -> bytes:
@@ -370,13 +375,17 @@ def _read_columns(path, names: tuple[str, ...]) -> tuple[
 
 
 def read_dense_csv(path) -> AdjacencyMatrix:
-    """load_dense_matrix of a file; gen's layout is read from its bytes (see _digit_grid)."""
+    """load_dense_matrix of a file; gen's layout is read from its bytes (see _digit_grid)
+    and stored as its nonzero digits, the edges' weights."""
     with open(path, "rb") as fh:
         data = fh.read()
     digits = _digit_grid(data)
-    if digits is not None:
-        return AdjacencyMatrix(_adopt(digits), default_labels(len(digits)))
-    return _load_dense(_decode(data, path), str(path))
+    if digits is None:
+        return _load_dense(_decode(data, path), str(path))
+    n = len(digits)
+    at = np.flatnonzero(digits)  # row-major
+    src, dst = np.divmod(at, n)
+    return AdjacencyMatrix._from_edges(src, dst, default_labels(n), digits.flat[at].astype(float))
 
 
 def read_edge_list_csv(

@@ -17,11 +17,13 @@ from netrank import (
     is_regular,
     load_edge_list,
     patch_zero_rows,
+    read_dense_csv,
     transition_from_augmented,
     transition_from_patched,
     transition_generalized_inverse,
     wielandt_bound,
 )
+from netrank.graph_core import _digit_grid_bytes
 
 import golden
 
@@ -126,6 +128,26 @@ def test_construction_routes_bitwise_equal_on_weighted_inputs(seed):
     via_inverse = transition_generalized_inverse(adj)
     via_patch = transition_from_patched(patch_zero_rows(adj))
     np.testing.assert_array_equal(via_inverse.entries, via_patch.entries)
+
+
+@pytest.mark.parametrize("source", ["edge list", "gen layout"])
+def test_generalized_inverse_of_edges_builds_no_entries(tmp_path, source):
+    rng = np.random.default_rng(4)
+    digits = rng.integers(1, 10, (60, 60)) * (rng.random((60, 60)) < 0.1)
+    digits[[3, 17, 59]] = 0
+    if source == "edge list":
+        src, dst = np.nonzero(digits)
+        adj = load_edge_list(zip(map(str, src), map(str, dst)), [str(i) for i in range(60)])
+    else:
+        path = tmp_path / "grid.csv"
+        path.write_bytes(_digit_grid_bytes(digits))
+        adj = read_dense_csv(path)
+    chain = transition_generalized_inverse(adj)
+    assert "entries" not in vars(adj)
+    expected = transition_from_patched(patch_zero_rows(adj))
+    assert chain.entries.tobytes() == expected.entries.tobytes()
+    # the layout of A^T, which rounds M @ x in stationary_power
+    assert chain.entries.flags.f_contiguous and expected.entries.flags.f_contiguous
 
 
 class TestDampedTransition:

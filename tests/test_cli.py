@@ -142,6 +142,24 @@ class TestPagerankCommand:
         assert main([command, six_node_file, "--method", "power"]) == 0
         assert capsys.readouterr().out == exact
 
+    @pytest.mark.parametrize("command", ["pagerank", "markovrank"])
+    @pytest.mark.parametrize("source", ["grid", "edgelist"])
+    def test_network_without_edges_ranks_uniformly(self, tmp_path, capsys, command, source):
+        # bincount of no edges counts in int64, which a power step must not add floats to
+        grid, edges, roster = tmp_path / "zero.csv", tmp_path / "none.csv", tmp_path / "r3.csv"
+        grid.write_text("0,0\n0,0\n")
+        edges.write_text("following,followed\n")
+        roster.write_text("screen_name\na\nb\nc\n")
+        argv = [command, str(grid)] if source == "grid" else [
+            command, str(edges), "--format", "edgelist", "--roster", str(roster)]
+        assert main([*argv, "--method", "power"]) == 0
+        power = capsys.readouterr()
+        assert main(argv) == 0
+        assert capsys.readouterr() == power
+        rows = list(csv.DictReader(io.StringIO(power.out)))
+        assert len(rows) == (2 if source == "grid" else 3)
+        assert len({(r["score"], r["rank"]) for r in rows}) == 1
+
     def test_power_iterates_that_alternate_fail_at_once(self, tmp_path, capsys):
         # every leaf follows the hub: at 1e-15 the iterates settle into a
         # rounding 2-cycle, about 180 steps in, which no step limit would end soon

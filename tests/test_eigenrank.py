@@ -18,15 +18,19 @@ from netrank import (
     damped_transition,
     eigenvalue_one_space,
     gen_er,
+    invariance_sweep,
+    load_edge_list,
     markovrank,
     pagerank,
     patch_zero_rows,
+    read_dense_csv,
     stationary_power,
     transition_from_augmented,
     transition_from_patched,
     transition_generalized_inverse,
 )
 from netrank import eigenrank
+from netrank.graph_core import _digit_grid_bytes
 from netrank.eigenrank import (
     _BLOCK,
     _PANEL,
@@ -473,17 +477,43 @@ def test_exact_markovrank_matches_public_constructors_bitwise(seed, eps):
     assert_matches_dense_chain(markovrank(adj, eps), expected, "exact")
 
 
-def test_exact_pagerank_eliminates_in_its_chain():
-    # one n x n chain array, eliminated where it is built; the rest is the
-    # eliminator's matrix-product temporary
-    adj = gen_er(400, 0.05, 3)
+def traced_peak(run) -> int:
     tracemalloc.start()
     try:
-        pagerank(adj, 0.85)
-        _, peak = tracemalloc.get_traced_memory()
+        run()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2.5 * adj.entries.nbytes
+
+
+def test_exact_pagerank_eliminates_in_its_chain():
+    # one n x n chain array, eliminated where it is built; the rest is the
+    # eliminator's matrix-product temporaries, at most n x 128
+    adj = gen_er(400, 0.05, 3)
+    assert traced_peak(lambda: pagerank(adj, 0.85)) < 1.5 * adj.entries.nbytes
+
+
+def edge_backed(tmp_path, source):
+    """gen_er(400, 0.05, 3) read from a file in gen's layout or from its edges."""
+    entries = gen_er(400, 0.05, 3).entries
+    if source == "gen layout":
+        path = tmp_path / "er.csv"
+        path.write_bytes(_digit_grid_bytes(entries))
+        return read_dense_csv(path)
+    src, dst = np.nonzero(entries)
+    return load_edge_list(zip(map(str, src), map(str, dst)), [str(i) for i in range(400)])
+
+
+@pytest.mark.parametrize("source", ["gen layout", "edge list"])
+@pytest.mark.parametrize("rank", [
+    lambda adj: pagerank(adj, 0.85), lambda adj: markovrank(adj, 1.0), invariance_sweep,
+], ids=["pagerank", "markovrank", "sweep"])
+def test_exact_rankings_of_edges_hold_one_chain(tmp_path, source, rank):
+    # no n x n adjacency beside the chain, and no n x n product temporary
+    adj = edge_backed(tmp_path, source)
+    peak = traced_peak(lambda: rank(adj))
+    assert "entries" not in vars(adj)
+    assert peak < 1.5 * adj.n * adj.n * 8
 
 
 def test_eigenvalue_one_space_leaves_its_argument():
@@ -491,6 +521,45 @@ def test_eigenvalue_one_space_leaves_its_argument():
     before = chain.entries.copy()
     eigenvalue_one_space(chain)
     np.testing.assert_array_equal(chain.entries, before)
+
+
+def ranking_outcome(rank, adj, param, method):
+    """The scores' bytes and iterations, or the error's type and message."""
+    try:
+        scores = rank(adj, param, method, PowerIterConfig(max_iterations=300))
+    except (MultiplicityError, NonConvergenceError) as exc:
+        return type(exc), str(exc)
+    return scores.values.tobytes(), scores.iterations
+
+
+@given(
+    n=st.sampled_from([1, 2, 3, 31, 32, 33, 127, 128, 129, 140]),
+    density=st.sampled_from([0.0, 0.02, 0.2, 1.0]),
+    halves=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_edge_backed_and_dense_backed_rank_alike(tmp_path_factory, n, density, halves, seed):
+    # read_dense_csv stores a file in gen's layout as edges; the rankings
+    # must equal those of the same grid held as a dense array, to the bit
+    rng = np.random.default_rng(seed)
+    digits = rng.integers(1, 10, (n, n)) * (rng.random((n, n)) < density)
+    if halves and n > 1:  # two closed classes and no zero row: alpha = 1 is refused
+        h = n // 2
+        digits[:h, h:] = digits[h:, :h] = 0
+        digits[np.arange(n), np.r_[np.arange(1, h), 0, np.arange(h + 1, n), h]] = 1
+    else:
+        digits[rng.random(n) < 0.2] = 0
+    path = tmp_path_factory.mktemp("grid") / "grid.csv"
+    path.write_bytes(_digit_grid_bytes(digits))
+    edges = read_dense_csv(path)
+    dense = AdjacencyMatrix(digits.astype(float), edges.labels)
+    for rank, param in ((pagerank, 0.85), (pagerank, 1.0), (markovrank, 1.0), (markovrank, 0.0)):
+        for method in ("exact", "power"):
+            expected = ranking_outcome(rank, dense, param, method)
+            assert ranking_outcome(rank, edges, param, method) == expected
+    assert "entries" not in vars(edges)
+    assert edges.entries.tobytes() == dense.entries.tobytes()
 
 
 @pytest.mark.parametrize("eps", [0.0, 1e-3, 0.1, 1.0])
