@@ -62,10 +62,10 @@ def transition_generalized_inverse(adj: AdjacencyMatrix) -> TransitionMatrix:
     Columns are divided by their out-degree, not multiplied by its
     reciprocal, so the result equals the patched route bit for bit.
     """
-    # the layout of A^T fixes the rounding of M @ x in stationary_power; an
-    # edge-backed adjacency would scatter a C-ordered `entries`
-    out = (np.zeros_like(adj.entries.T) if "entries" in vars(adj)
-           else np.zeros((adj.n, adj.n), order="F"))
+    # the layout of A^T fixes the rounding of M @ x in stationary_power: C
+    # only for a dense adjacency with F-ordered entries
+    order = "C" if not adj._edge_backed and np.isfortran(adj.entries) else "F"
+    out = np.zeros((adj.n, adj.n), order=order)
     return TransitionMatrix(_adopt(_generalized_inverse(adj, out)))
 
 
@@ -77,9 +77,10 @@ def _generalized_inverse(adj: AdjacencyMatrix, out: np.ndarray) -> np.ndarray:
     the same division either way.
     """
     deg = adj._out_degrees
-    if "_edges" in vars(adj):
+    if adj._edge_backed:
         src, dst, weights = adj._edges
-        out[dst, src] = weights / deg[src]
+        q = deg[src]  # the only E-sized temporary
+        out[dst, src] = np.divide(weights, q, out=q)
     else:
         np.divide(adj.entries.T, np.where(deg > 0, deg, 1.0), out=out)
     out[:, deg == 0] = 1.0 / adj.n

@@ -153,10 +153,11 @@ def eigenvalue_one_space(matrix: TransitionMatrix) -> EigenSpace:
     multiplier lives in U, in the entry it eliminates, so a swap moves it.
     The panel's pivots then reach the block's later columns, by the inverse
     of their 32 x 32 unit lower triangle and one matrix product.  At the end
-    of the block its pivots reach the columns right of it, 128 columns at a
-    time, in products of rank up to 128; its pivot rows are solved by block
-    forward substitution with the panels' inverses.  A free column takes the
-    pivots right of it only at nullity 1, in one forward pass before the
+    of the block its pivots reach the columns right of it in products of
+    rank up to 128, over slices of the rows below, so that no product
+    temporary is n x n; its pivot rows are solved by block forward
+    substitution with the panels' inverses.  A free column takes the pivots
+    right of it only at nullity 1, in one forward pass before the
     back-substitution.
     Each pivot is still chosen from fully updated values, so every decision,
     and with it the nullity and every MultiplicityError, is that of the
@@ -203,9 +204,7 @@ def _eliminate(U: np.ndarray) -> EigenSpace:
                 panels.append((r0, np.linalg.inv(np.tril(L[r0:r], -1) + np.eye(r - r0))))
                 _apply_pivots(U, L, panels[-1:], r0, r, slice(c1, b1))
         if r > rb:
-            L = _multipliers(U, pivot_rows[rb:])
-            for s0 in range(b1, m, _BLOCK):  # its product temporary is (m - r) x 128 at most
-                _apply_pivots(U, L, panels, rb, r, slice(s0, s0 + _BLOCK))
+            _apply_pivots(U, _multipliers(U, pivot_rows[rb:]), panels, rb, r, slice(b1, m))
     nullity = m - r
     if nullity != 1:
         return EigenSpace(nullity, None)
@@ -271,7 +270,8 @@ def _apply_pivots(U: np.ndarray, L: np.ndarray, panels, r0: int, r: int, cols: s
     first row and unit lower inverse of each panel among them.  The pivot
     rows are solved by block forward substitution, one product with each
     inverse (for 32 x m right-hand sides, ~10x faster than np.linalg.solve),
-    and the rows below take one product with all the multipliers.
+    and the rows below take products with all the multipliers, in slices of
+    rows small enough that no product temporary exceeds (m - r) x 128.
     """
     top = U[r0:r, cols]
     for p0, inverse in panels:
@@ -279,7 +279,9 @@ def _apply_pivots(U: np.ndarray, L: np.ndarray, panels, r0: int, r: int, cols: s
         if j:
             top[j : j + k] -= L[p0 : p0 + k, :j] @ top[:j]
         top[j : j + k] = inverse @ top[j : j + k]
-    U[r:, cols] -= L[r:] @ top
+    h = max(1, _BLOCK * (len(U) - r) // max(1, top.shape[1]))
+    for i in range(r, len(U), h):
+        U[i : i + h, cols] -= L[i : i + h] @ top
 
 
 def stationary_power(

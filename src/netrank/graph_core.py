@@ -44,12 +44,14 @@ class AdjacencyMatrix:
 
     Entries are 0/1 for simple digraphs, but any non-negative weights are
     accepted.  Instances are immutable; the entry array is read-only.
-    load_edge_list and read_dense_csv of a file in gen's layout store their
-    matrix as weighted edges, and `entries` is scattered from them on first
-    access; rankings read the edges instead, so they build no n x n adjacency.
+    load_edge_list, and read_dense_csv of a sparse file in gen's layout, store
+    their matrix as weighted edges (`_edge_backed`), and `entries` is scattered
+    from them on first access; rankings read the edges instead, so they build
+    no n x n adjacency.
     """
 
     labels: tuple[str, ...]
+    _edge_backed = False  # set by _from_edges
 
     def __init__(self, entries, labels: Sequence[str]):
         e = _frozen(entries)
@@ -83,7 +85,7 @@ class AdjacencyMatrix:
         deg = np.bincount(src, weights, minlength=len(labels)).astype(float, copy=False)
         weights = np.broadcast_to(1.0, src.shape) if weights is None else _adopt(weights)
         vars(adj).update(labels=labels, _edges=(_adopt(src), _adopt(dst), weights),
-                         _out_degrees=_adopt(deg))
+                         _out_degrees=_adopt(deg), _edge_backed=True)
         return adj
 
     @property
@@ -375,17 +377,25 @@ def _read_columns(path, names: tuple[str, ...]) -> tuple[
 
 
 def read_dense_csv(path) -> AdjacencyMatrix:
-    """load_dense_matrix of a file; gen's layout is read from its bytes (see _digit_grid)
-    and stored as its nonzero digits, the edges' weights."""
+    """load_dense_matrix of a file; gen's layout is read from its bytes (see _digit_grid).
+
+    A grid with at most a quarter of its cells nonzero is stored as edges,
+    weighted by its digits: an exact ranking then holds its n x n chain and
+    32 bytes per edge (source, target, weight, and the chain build's
+    quotient), no more than the two n x n arrays of a denser grid, which is
+    stored as `entries`.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
     digits = _digit_grid(data)
     if digits is None:
         return _load_dense(_decode(data, path), str(path))
     n = len(digits)
-    at = np.flatnonzero(digits)  # row-major
+    if 4 * np.count_nonzero(digits) > n * n:
+        return AdjacencyMatrix(_adopt(digits.astype(float)), default_labels(n))
+    at = np.flatnonzero(digits != 0)  # row-major; the bool scan is faster, as in _edges
     src, dst = np.divmod(at, n)
-    return AdjacencyMatrix._from_edges(src, dst, default_labels(n), digits.flat[at].astype(float))
+    return AdjacencyMatrix._from_edges(src, dst, default_labels(n), digits.take(at).astype(float))
 
 
 def read_edge_list_csv(

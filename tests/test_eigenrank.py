@@ -516,6 +516,24 @@ def test_exact_rankings_of_edges_hold_one_chain(tmp_path, source, rank):
     assert peak < 1.5 * adj.n * adj.n * 8
 
 
+@pytest.mark.parametrize("nonzeros, edge_backed", [
+    (600 * 600 // 4, True), (600 * 600 // 4 + 1, False), (600 * 600, False),
+], ids=["a quarter", "over a quarter", "all"])
+def test_gen_layout_storage_holds_at_most_two_arrays(tmp_path, nonzeros, edge_backed):
+    # edges cost 32 bytes each in an exact ranking, an n x n adjacency 8 per
+    # cell: read_dense_csv keeps a grid's edges up to a quarter of its cells,
+    # so the chain and the adjacency take at most two n x n arrays' bytes,
+    # besides the eliminator's product temporaries of at most n x 128
+    rng = np.random.default_rng(8)
+    digits = np.zeros(600 * 600, np.uint8)
+    digits[rng.permutation(digits.size)[:nonzeros]] = rng.integers(1, 10, nonzeros)
+    path = tmp_path / "grid.csv"
+    path.write_bytes(_digit_grid_bytes(digits.reshape(600, 600)))
+    assert read_dense_csv(path)._edge_backed == edge_backed
+    peak = traced_peak(lambda: pagerank(read_dense_csv(path), 0.85))
+    assert peak < 2.5 * digits.size * 8
+
+
 def test_eigenvalue_one_space_leaves_its_argument():
     chain = damped_transition(transition_generalized_inverse(gen_er(70, 0.1, 5)), 0.85)
     before = chain.entries.copy()
@@ -534,14 +552,14 @@ def ranking_outcome(rank, adj, param, method):
 
 @given(
     n=st.sampled_from([1, 2, 3, 31, 32, 33, 127, 128, 129, 140]),
-    density=st.sampled_from([0.0, 0.02, 0.2, 1.0]),
+    density=st.sampled_from([0.0, 0.02, 0.2, 0.25, 1.0]),
     halves=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
 @settings(max_examples=60, deadline=None)
 def test_edge_backed_and_dense_backed_rank_alike(tmp_path_factory, n, density, halves, seed):
-    # read_dense_csv stores a file in gen's layout as edges; the rankings
-    # must equal those of the same grid held as a dense array, to the bit
+    # read_dense_csv stores a sparse file in gen's layout as edges and a
+    # denser one as a dense array; both storages must rank alike, to the bit
     rng = np.random.default_rng(seed)
     digits = rng.integers(1, 10, (n, n)) * (rng.random((n, n)) < density)
     if halves and n > 1:  # two closed classes and no zero row: alpha = 1 is refused
@@ -552,14 +570,18 @@ def test_edge_backed_and_dense_backed_rank_alike(tmp_path_factory, n, density, h
         digits[rng.random(n) < 0.2] = 0
     path = tmp_path_factory.mktemp("grid") / "grid.csv"
     path.write_bytes(_digit_grid_bytes(digits))
-    edges = read_dense_csv(path)
-    dense = AdjacencyMatrix(digits.astype(float), edges.labels)
+    read = read_dense_csv(path)
+    assert read._edge_backed == (4 * np.count_nonzero(digits) <= n * n)
+    src, dst = np.nonzero(digits)
+    edges = AdjacencyMatrix._from_edges(src, dst, read.labels, digits[src, dst].astype(float))
+    dense = AdjacencyMatrix(digits.astype(float), read.labels)
     for rank, param in ((pagerank, 0.85), (pagerank, 1.0), (markovrank, 1.0), (markovrank, 0.0)):
         for method in ("exact", "power"):
             expected = ranking_outcome(rank, dense, param, method)
             assert ranking_outcome(rank, edges, param, method) == expected
+            assert ranking_outcome(rank, read, param, method) == expected
     assert "entries" not in vars(edges)
-    assert edges.entries.tobytes() == dense.entries.tobytes()
+    assert edges.entries.tobytes() == dense.entries.tobytes() == read.entries.tobytes()
 
 
 @pytest.mark.parametrize("eps", [0.0, 1e-3, 0.1, 1.0])
