@@ -282,11 +282,6 @@ def _decode(data: bytes, source) -> str:
         raise ValueError(f"{source}: {exc}") from None
 
 
-def _read_text(path) -> str:
-    with open(path, "rb") as fh:
-        return _decode(fh.read(), path)
-
-
 def _split_csv(path) -> Optional[tuple[list[str], list[str]]]:
     """The header and the data fields, in one row-major list, of a CSV file
     that csv.reader splits at every comma; None for any other file.
@@ -297,10 +292,11 @@ def _split_csv(path) -> Optional[tuple[list[str], list[str]]]:
     the lines, and one replace and one split read the fields, with no per-line
     Python; csv.reader would give the same rows.  A line is measured in bytes,
     which are at least its characters, so a line refused for its length still
-    reads the same through csv.reader.  A file that is not UTF-8 raises
-    _decode's ValueError.
+    reads the same through csv.reader.  Every byte is decoded before any row
+    is read, so a file that is not UTF-8 raises _decode's ValueError here.
     """
-    text = _read_text(path)
+    with open(path, "rb") as fh:
+        text = _decode(fh.read(), path)
     if '"' in text or "\0" in text:
         return None
     if "\r" in text:
@@ -327,13 +323,9 @@ def _split_csv(path) -> Optional[tuple[list[str], list[str]]]:
     return header.split(","), fields
 
 
-# one line as a file opened with newline="" reads it: up to and with its \n, \r\n or \r
-_LINE = re.compile(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")
-
-
 def _read_columns(path, names: tuple[str, ...]) -> tuple[
         Optional[list[str]], Optional[list[Optional[str]]], Callable[[int], int]]:
-    """(header, columns, line) of a headered CSV file, read whole.
+    """(header, columns, line) of a headered CSV file, every byte checked first.
 
     `header` is the first row, None for an empty file.  `columns` holds the
     fields of the columns `names`, row after row, blank rows skipped, with
@@ -341,17 +333,18 @@ def _read_columns(path, names: tuple[str, ...]) -> tuple[
     name.  A column named twice in the header is read from its last
     occurrence, as in csv.DictReader.  line(k) is the line of data row k.
     A file _split_csv reads gives its fields uncopied when the header is
-    `names`.  csv.reader reads any other file, from _decode's text; a field
-    over csv.field_size_limit() names its line.
+    `names`.  csv.reader streams any other file, which _split_csv has decoded
+    whole; a field over csv.field_size_limit() names its line.
     """
     def rows():
         """Each row csv.reader reads, [] for a blank one, after the line it ends on."""
-        reader = csv.reader(map(re.Match.group, _LINE.finditer(_read_text(path))))
-        try:
-            for row in reader:
-                yield reader.line_num, row
-        except csv.Error as exc:
-            raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
+        with open(path, encoding="utf-8-sig", newline="") as fh:
+            reader = csv.reader(fh)
+            try:
+                for row in reader:
+                    yield reader.line_num, row
+            except csv.Error as exc:
+                raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
 
     def line(k: int) -> int:
         # only an error asks for a line, so the file is read again, not kept

@@ -850,10 +850,17 @@ class TestUndecodableInput:
              ["markovrank", "{edges}", "--format", "edgelist", "--roster", "{roster}"]),
             ("scores", b"label,score\n", b"u%05d,0.5\n", 2000, b"u00000,0.5\n",
              ["compare", "{scores}", "{scores}"]),
+            ("edges", b'"following","followed"\n', b"u%05d,v\n", 2501, None,
+             ["pagerank", "{edges}", "--format", "edgelist"]),
+            ("roster", b'"screen_name"\n', b"u%05d\n", 2501, None,
+             ["markovrank", "{edges}", "--format", "edgelist", "--roster", "{roster}"]),
+            ("scores", b'"label","score"\n', b"u%05d,0.5\n", 2501, None,
+             ["compare", "{scores}", "{scores}"]),
         ],
         ids=["dense", "edges", "roster", "scores", "dense-after-a-non-numeric-entry",
              "edges-after-an-empty-field", "roster-after-a-repeated-name",
-             "scores-after-a-repeated-label"],
+             "scores-after-a-repeated-label", "edges-quoted", "roster-quoted",
+             "scores-quoted"],
     )
     def test_decoding_error_gives_the_offset_in_the_file(
         self, tmp_path, capsys, bad, head, row, count, bad_row, argv, bom
@@ -861,7 +868,10 @@ class TestUndecodableInput:
         rows = [row % i for i in range(count)]
         if bad_row is not None:
             rows[1] = bad_row
-        k = count * 3 // 4
+        # a quoted header sends the file to csv.reader, which streams it: its bad byte is
+        # put on the last line, so only a check of every byte before the stream finds it
+        # with its offset in the file, not in a chunk of the stream
+        k = count - 1 if head.startswith(b'"') else count * 3 // 4
         rows[k] = b"\xff" + rows[k][1:]
         offset = len(head) + sum(map(len, rows[:k]))  # counted after the BOM
         files = {name: tmp_path / f"{name}.csv" for name in self.GOOD}

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from netrank import AdjacencyMatrix, ScoreVector, read_edge_list_csv, read_roster_csv
 from netrank.cli import _format_scores, _load_network, _read_score_csv, main
-from netrank.graph_core import _check_field, _split_csv
+from netrank.graph_core import _check_field, _read_ends, _split_csv
 from test_cli import dict_reader_scores
 
 
@@ -333,14 +333,32 @@ def traced_peak(call) -> int:
         tracemalloc.stop()
 
 
-def test_ingest_peak_is_no_higher_than_the_pair_list_path(tmp_path):
-    # 10^5 edges among 25,000 accounts, in the screen-name layout of a follower network
+def write_follower_edges(f, header: str = "following,followed"):
+    """10^5 edges among 25,000 accounts, in the screen-name layout of a follower network."""
     rng = np.random.default_rng(3)
     src, dst = rng.integers(25_000, size=(2, 100_000))
-    f = tmp_path / "edges.csv"
     with open(f, "w", encoding="utf-8") as fh:
-        fh.write("following,followed\n")
+        fh.write(header + "\n")
         fh.writelines(f"user{a:06d},user{b:06d}\n" for a, b in zip(src.tolist(), dst.tolist()))
+
+
+def test_ingest_peak_is_no_higher_than_the_pair_list_path(tmp_path):
+    f = tmp_path / "edges.csv"
+    write_follower_edges(f)
     cols = ("following", "followed")
     bound = traced_peak(lambda: oracle_ingest(f, None, cols))
     assert traced_peak(lambda: cli_ingest(f, None, cols)) <= bound
+
+
+def test_streamed_file_peaks_below_the_split_one(tmp_path):
+    # a quoted header sends the file to csv.reader, which reads it line by line
+    # from the file: no copy of its text is held beside the fields
+    plain, quoted = tmp_path / "plain.csv", tmp_path / "quoted.csv"
+    write_follower_edges(plain)
+    write_follower_edges(quoted, '"following","followed"')
+    assert _split_csv(plain) is not None and _split_csv(quoted) is None
+    ends = _read_ends(quoted, "following", "followed")
+    assert ends == _read_ends(plain, "following", "followed")
+    del ends
+    bound = 0.9 * traced_peak(lambda: _read_ends(plain, "following", "followed"))
+    assert traced_peak(lambda: _read_ends(quoted, "following", "followed")) <= bound
