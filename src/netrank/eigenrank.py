@@ -122,9 +122,9 @@ class PowerIterConfig:
             raise ValueError("max_iterations must be at least 1")
 
 
-# Columns per panel and per block of the blocked elimination in
-# eigenvalue_one_space: the in-panel rank-1 updates grow with the panel, the
-# matrix products of a block with its width.
+# Columns per panel, the leaves of eigenvalue_one_space's recursive blocking
+# (the in-panel rank-1 updates grow with the panel), and the width that bounds
+# its product temporaries at (rows below) x _BLOCK.
 _PANEL = 32
 _BLOCK = 4 * _PANEL
 
@@ -138,30 +138,29 @@ def eigenvalue_one_space(matrix: TransitionMatrix) -> EigenSpace:
     must be before the ranking is reported as ill-defined.  When the nullity
     is 1 the basis vector is returned unnormalized (arbitrary sign and scale).
 
-    The elimination is blocked on two levels, as in LAPACK's getrf (Toledo,
-    SIAM J. Matrix Anal. Appl. 18(4), 1997): blocks of 128 columns, each
-    made of four panels of 32.  M - I has zero column sums and is column
-    diagonally dominant, and its Schur complements stay so (the structure of
-    GTH elimination: Grassmann, Taksar & Heyman, Oper. Res. 33(5), 1985), so
-    partial pivoting nearly always takes the diagonal row.  A panel is
-    therefore first factored without row swaps, and kept only if the pivot
-    rule, checked with a margin, would take each diagonal row and free no
-    column.  Every other panel (ties such as single-out-link nodes at
-    alpha = 1, pivots near the threshold) and always the last is eliminated
-    column by column: pivot search, a swap of whole rows of U, and a rank-1
-    update of the panel's columns right of the pivot.  As in getrf, each
-    multiplier lives in U, in the entry it eliminates, so a swap moves it.
-    The panel's pivots then reach the block's later columns, by the inverse
-    of their 32 x 32 unit lower triangle and one matrix product.  At the end
-    of the block its pivots reach the columns right of it in products of
-    rank up to 128, over slices of the rows below, so that no product
-    temporary is n x n; its pivot rows are solved by block forward
-    substitution with the panels' inverses.  A free column takes the pivots
-    right of it only at nullity 1, in one forward pass before the
-    back-substitution.
-    Each pivot is still chosen from fully updated values, so every decision,
-    and with it the nullity and every MultiplicityError, is that of the
-    unblocked column loop.
+    The elimination is blocked recursively (Toledo, SIAM J. Matrix Anal.
+    Appl. 18(4), 1997), down to panels of 32 columns.  M - I has zero column
+    sums and is column diagonally dominant, and its Schur complements stay
+    so (the structure of GTH elimination: Grassmann, Taksar & Heyman, Oper.
+    Res. 33(5), 1985), so partial pivoting nearly always takes the diagonal
+    row.  A panel is therefore first factored without row swaps, and kept
+    only if the pivot rule, checked with a margin, would take each diagonal
+    row and free no column.  Every other panel (ties such as single-out-link
+    nodes at alpha = 1, pivots near the threshold) and always the last is
+    eliminated column by column: pivot search, a swap of whole rows of U,
+    and a rank-1 update of the panel's columns right of the pivot.  As in
+    getrf, each multiplier lives in U, in the entry it eliminates, so a swap
+    moves it.  One loop over the panels unrolls the recursion: after panel
+    p, the last k panels, k the lowest set bit of p + 1, are the finished
+    left half of a group of 2k, and their pivots reach the next k panels'
+    columns.  Their pivot rows are solved by block forward substitution with
+    the inverses of the panels' unit lower triangles, and the rows below
+    take products of rank up to 32k, over slices of rows, so that no product
+    temporary is n x n.  A free column takes the pivots right of it only at
+    nullity 1, in one forward pass before the back-substitution.  Each pivot
+    is still chosen from fully updated values, so every decision, and with
+    it the nullity and every MultiplicityError, is that of the unblocked
+    column loop.
     """
     return _eliminate(matrix.entries.copy())
 
@@ -176,35 +175,32 @@ def _eliminate(U: np.ndarray) -> EigenSpace:
     np.fill_diagonal(U, U.diagonal() - 1.0)  # M - I without an m x m identity
     pivot_rows: list[tuple[int, int]] = []  # the i-th pivot is in row i
     free: list[int] = []
+    panels = []  # (first pivot row, unit lower inverse) of each panel
     r = 0
-    for b0 in range(0, m, _BLOCK):
-        b1 = min(b0 + _BLOCK, m)
-        rb, panels = r, []  # panels: (first pivot row, unit lower inverse) of each with pivots
-        for c0 in range(b0, b1, _PANEL):
-            c1 = min(c0 + _PANEL, b1)
-            r0 = r
-            # a unique ranking leaves its free column in the last panel: the column loop finds it
-            if c1 < m and _panel_without_swaps(U, r, c0, c1, threshold):
-                pivot_rows += zip(range(r, r + c1 - c0), range(c0, c1))
-                r += c1 - c0
-            else:
-                for c in range(c0, c1):
-                    i = int(np.argmax(np.abs(U[r:, c]))) + r
-                    if abs(U[i, c]) <= threshold:
-                        free.append(c)
-                        continue
-                    if i != r:
-                        U[[r, i]] = U[[i, r]]
-                    U[r + 1 :, c] /= U[r, c]
-                    U[r + 1 :, c + 1 : c1] -= U[r + 1 :, c, None] * U[r, c + 1 : c1]
-                    pivot_rows.append((r, c))
-                    r += 1
-            if r > r0:
-                L = _multipliers(U, pivot_rows[r0:])
-                panels.append((r0, np.linalg.inv(np.tril(L[r0:r], -1) + np.eye(r - r0))))
-                _apply_pivots(U, L, panels[-1:], r0, r, slice(c1, b1))
-        if r > rb:
-            _apply_pivots(U, _multipliers(U, pivot_rows[rb:]), panels, rb, r, slice(b1, m))
+    for p, c0 in enumerate(range(0, m, _PANEL)):
+        c1 = min(c0 + _PANEL, m)
+        r0 = r
+        # a unique ranking leaves its free column in the last panel: the column loop finds it
+        if c1 < m and _panel_without_swaps(U, r, c0, c1, threshold):
+            pivot_rows += zip(range(r, r + c1 - c0), range(c0, c1))
+            r += c1 - c0
+        else:
+            for c in range(c0, c1):
+                i = int(np.argmax(np.abs(U[r:, c]))) + r
+                if abs(U[i, c]) <= threshold:
+                    free.append(c)
+                    continue
+                if i != r:
+                    U[[r, i]] = U[[i, r]]
+                U[r + 1 :, c] /= U[r, c]
+                U[r + 1 :, c + 1 : c1] -= U[r + 1 :, c, None] * U[r, c + 1 : c1]
+                pivot_rows.append((r, c))
+                r += 1
+        triangle = U[r0:r, _multipliers(pivot_rows[r0:])]
+        panels.append((r0, np.linalg.inv(np.tril(triangle, -1) + np.eye(r - r0))))
+        k = (p + 1) & -(p + 1)  # the last k panels are the left half of a group of 2k
+        if c1 < m and r > panels[-k][0]:
+            _apply_pivots(U, pivot_rows, panels[-k:], r, slice(c1, c1 + k * _PANEL))
     nullity = m - r
     if nullity != 1:
         return EigenSpace(nullity, None)
@@ -257,31 +253,34 @@ def _panel_without_swaps(U: np.ndarray, r: int, c0: int, c1: int, threshold: flo
     return True
 
 
-def _multipliers(U: np.ndarray, pivots: list[tuple[int, int]]) -> np.ndarray:
-    """These pivots' multipliers: their columns of U, copied only if a free column splits them."""
-    c0, c1 = pivots[0][1], pivots[-1][1] + 1
-    return U[:, c0:c1] if c1 - c0 == len(pivots) else U[:, [c for _, c in pivots]]
+def _multipliers(pivots: list[tuple[int, int]]) -> slice | list[int]:
+    """The columns of U that hold these pivots' multipliers: a slice, or a list if a free column splits them."""
+    if pivots and pivots[-1][1] - pivots[0][1] < len(pivots):
+        return slice(pivots[0][1], pivots[-1][1] + 1)
+    return [c for _, c in pivots]
 
 
-def _apply_pivots(U: np.ndarray, L: np.ndarray, panels, r0: int, r: int, cols: slice) -> None:
-    """Eliminate, in columns `cols` of U, with the pivots of rows r0..r-1.
+def _apply_pivots(U: np.ndarray, pivot_rows, panels, r: int, cols: slice) -> None:
+    """Eliminate, in columns `cols` of U, with the pivots of these panels, rows panels[0][0]..r-1.
 
-    Column i of L holds the multipliers of pivot r0 + i, and `panels` the
-    first row and unit lower inverse of each panel among them.  The pivot
-    rows are solved by block forward substitution, one product with each
-    inverse (for 32 x m right-hand sides, ~10x faster than np.linalg.solve),
-    and the rows below take products with all the multipliers, in slices of
-    rows small enough that no product temporary exceeds (m - r) x 128.
+    `panels` holds the first row and unit lower inverse of each panel.  The
+    pivot rows are solved by block forward substitution, one product with
+    each inverse (for 32 x m right-hand sides, ~10x faster than
+    np.linalg.solve), and the rows below take products with all the
+    multipliers, read from U in slices of rows small enough that no product
+    temporary exceeds (m - r) x _BLOCK.
     """
+    r0 = panels[0][0]
+    L = _multipliers(pivot_rows[r0:r])
     top = U[r0:r, cols]
     for p0, inverse in panels:
         j, k = p0 - r0, len(inverse)
         if j:
-            top[j : j + k] -= L[p0 : p0 + k, :j] @ top[:j]
+            top[j : j + k] -= U[p0 : p0 + k, L][:, :j] @ top[:j]
         top[j : j + k] = inverse @ top[j : j + k]
     h = max(1, _BLOCK * (len(U) - r) // max(1, top.shape[1]))
     for i in range(r, len(U), h):
-        U[i : i + h, cols] -= L[i : i + h] @ top
+        U[i : i + h, cols] -= U[i : i + h, L] @ top
 
 
 def stationary_power(
@@ -324,7 +323,7 @@ def _normalize_scores(vector: np.ndarray, labels: tuple[str, ...]) -> ScoreVecto
     s = vector.sum()
     if abs(s) <= 1e-12 * max(np.abs(vector).max(), 1e-300):
         raise DegenerateVectorError("degenerate eigenvector: entry sum is zero")
-    return ScoreVector(vector / s, labels)
+    return ScoreVector(vector / s + 0.0, labels)  # + 0.0: a -0.0 score prints as 0
 
 
 def pagerank(

@@ -206,6 +206,19 @@ class TestPagerankCommand:
             "error: adjacency weights overflow: their total exceeds the float64 range\n"
         )
 
+    def test_zero_score_of_a_transient_node_prints_unsigned(self, tmp_path, capsys):
+        # a 3-cycle with one transient node: back-substitution gives it -0.0
+        path = tmp_path / "cycle.csv"
+        path.write_text("0,1,0,0\n0,0,1,0\n1,0,0,0\n1,0,0,0\n")
+        assert main(["pagerank", str(path), "--alpha", "1"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[-1] == "4,0,1"
+        assert "WARN: degenerate scores" in captured.err
+        assert main(["pagerank", str(path), "--alpha", "1", "--out", "json"]) == 0
+        captured = capsys.readouterr()
+        assert '"score": 0.0,' in captured.out and "-0" not in captured.out
+        assert "WARN: degenerate scores" in captured.err
+
     def test_deterministic_output(self, six_node_file, capsys):
         main(["pagerank", six_node_file])
         first = capsys.readouterr().out

@@ -534,6 +534,24 @@ def test_gen_layout_storage_holds_at_most_two_arrays(tmp_path, nonzeros, edge_ba
     assert peak < 2.5 * digits.size * 8
 
 
+def test_free_column_costs_no_full_height_multiplier_copy():
+    # a closed class on nodes 0..99 and 300 transient nodes: at alpha = 1 the
+    # elimination frees a column among the first 128, so the pivots after it
+    # are split; their multipliers are read from the chain a slice of rows at
+    # a time, never copied at full height
+    rng = np.random.default_rng(1)
+    entries = np.zeros((400, 400))
+    entries[:100, :100] = rng.random((100, 100)) < 0.1
+    entries[np.arange(100), (np.arange(100) + 1) % 100] = 1.0
+    entries[100:] = rng.random((300, 400)) < 0.05
+    src, dst = np.nonzero(entries)
+    adj = AdjacencyMatrix._from_edges(src, dst, tuple(str(i) for i in range(400)))
+    scores = []
+    peak = traced_peak(lambda: scores.append(pagerank(adj, 1.0)))
+    assert scores[0].degenerate
+    assert peak < 1.6 * 400 * 400 * 8
+
+
 def test_eigenvalue_one_space_leaves_its_argument():
     chain = damped_transition(transition_generalized_inverse(gen_er(70, 0.1, 5)), 0.85)
     before = chain.entries.copy()
@@ -743,7 +761,7 @@ ORACLE_NETWORKS = {
     "two_classes": two_class_network,
     "single_out_link_cycle": single_out_link_cycle,
 }
-ORACLE_SIZES = [1, 2, 31, 32, 33, 64, 65, 100, 127, 128, 129, 255, 256, 257, 400]
+ORACLE_SIZES = [1, 2, 31, 32, 33, 64, 65, 100, 127, 128, 129, 255, 256, 257, 400, 513]
 ORACLE_ALPHAS = [0.5, 0.85, 0.99, 1 - 1e-3, 1 - 1e-4, 1 - 1e-5, 1.0]
 
 
