@@ -173,8 +173,7 @@ def _eliminate(U: np.ndarray) -> EigenSpace:
     m = U.shape[0]
     threshold = PIVOT_TOL * m
     np.fill_diagonal(U, U.diagonal() - 1.0)  # M - I without an m x m identity
-    pivot_rows: list[tuple[int, int]] = []  # the i-th pivot is in row i
-    free: list[int] = []
+    pivots: list[int] = []  # the column of the pivot in row i
     panels = []  # (first pivot row, unit lower inverse) of each panel
     r = 0
     for p, c0 in enumerate(range(0, m, _PANEL)):
@@ -182,34 +181,33 @@ def _eliminate(U: np.ndarray) -> EigenSpace:
         r0 = r
         # a unique ranking leaves its free column in the last panel: the column loop finds it
         if c1 < m and _panel_without_swaps(U, r, c0, c1, threshold):
-            pivot_rows += zip(range(r, r + c1 - c0), range(c0, c1))
+            pivots += range(c0, c1)
             r += c1 - c0
         else:
             for c in range(c0, c1):
                 i = int(np.argmax(np.abs(U[r:, c]))) + r
-                if abs(U[i, c]) <= threshold:
-                    free.append(c)
+                if abs(U[i, c]) <= threshold:  # a free column
                     continue
                 if i != r:
                     U[[r, i]] = U[[i, r]]
                 U[r + 1 :, c] /= U[r, c]
                 U[r + 1 :, c + 1 : c1] -= U[r + 1 :, c, None] * U[r, c + 1 : c1]
-                pivot_rows.append((r, c))
+                pivots.append(c)
                 r += 1
-        triangle = U[r0:r, _multipliers(pivot_rows[r0:])]
+        triangle = U[r0:r, _multipliers(pivots[r0:])]
         panels.append((r0, np.linalg.inv(np.tril(triangle, -1) + np.eye(r - r0))))
         k = (p + 1) & -(p + 1)  # the last k panels are the left half of a group of 2k
         if c1 < m and r > panels[-k][0]:
-            _apply_pivots(U, pivot_rows, panels[-k:], r, slice(c1, c1 + k * _PANEL))
+            _apply_pivots(U, pivots, panels[-k:], r, slice(c1, c1 + k * _PANEL))
     nullity = m - r
     if nullity != 1:
         return EigenSpace(nullity, None)
-    f = free[0]
-    for row, c in pivot_rows[f:]:  # the pivots right of the free column, which skipped it
+    f = next((i for i, c in enumerate(pivots) if c != i), r)  # the free column
+    for row, c in enumerate(pivots[f:], f):  # the pivots right of it, which skipped it
         U[row + 1 :, f] -= U[row + 1 :, c] * U[row, f]
     x = np.zeros(m)
     x[f] = 1.0
-    for row, c in reversed(pivot_rows):
+    for row, c in reversed([*enumerate(pivots)]):
         x[c] = -(U[row] @ x) / U[row, c]
     return EigenSpace(1, x)
 
@@ -253,14 +251,14 @@ def _panel_without_swaps(U: np.ndarray, r: int, c0: int, c1: int, threshold: flo
     return True
 
 
-def _multipliers(pivots: list[tuple[int, int]]) -> slice | list[int]:
-    """The columns of U that hold these pivots' multipliers: a slice, or a list if a free column splits them."""
-    if pivots and pivots[-1][1] - pivots[0][1] < len(pivots):
-        return slice(pivots[0][1], pivots[-1][1] + 1)
-    return [c for _, c in pivots]
+def _multipliers(pivots: list[int]) -> slice | list[int]:
+    """The columns of U that hold these pivots' multipliers: a slice, or the list itself if a free column splits them."""
+    if pivots and pivots[-1] - pivots[0] < len(pivots):
+        return slice(pivots[0], pivots[-1] + 1)
+    return pivots
 
 
-def _apply_pivots(U: np.ndarray, pivot_rows, panels, r: int, cols: slice) -> None:
+def _apply_pivots(U: np.ndarray, pivots: list[int], panels, r: int, cols: slice) -> None:
     """Eliminate, in columns `cols` of U, with the pivots of these panels, rows panels[0][0]..r-1.
 
     `panels` holds the first row and unit lower inverse of each panel.  The
@@ -271,7 +269,7 @@ def _apply_pivots(U: np.ndarray, pivot_rows, panels, r: int, cols: slice) -> Non
     temporary exceeds (m - r) x _BLOCK.
     """
     r0 = panels[0][0]
-    L = _multipliers(pivot_rows[r0:r])
+    L = _multipliers(pivots[r0:r])
     top = U[r0:r, cols]
     for p0, inverse in panels:
         j, k = p0 - r0, len(inverse)

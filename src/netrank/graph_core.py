@@ -357,8 +357,8 @@ def _read_columns(path, names: tuple[str, ...]) -> tuple[
         return header, None, line  # before csv.reader reads a field over the limit below
     pad = [None] * len(header)
     for _, row in reader or ():
-        if row:  # blank rows are skipped
-            fields += (row + pad)[:len(pad)]  # cut or padded to the header's width
+        if row:  # blank rows are skipped; only a row of another width is cut or padded
+            fields += row if len(row) == len(pad) else (row + pad)[:len(pad)]
     column = {name: i for i, name in enumerate(header)}
     cols, k, m = [column[name] for name in names], len(header), len(names)
     if cols == [*range(k)]:  # the header is `names`

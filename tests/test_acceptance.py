@@ -288,7 +288,7 @@ def test_criterion_10_e2_block_suite():
         disagree = r0 != r1
         if not (np.abs(mr0.values[disagree]) <= 1e-12).all():
             offending = np.abs(mr0.values[disagree]).max()
-            clause_b_failures.append((seed, float(offending)))
+            clause_b_failures.append((seed, float(f"{offending:.10g}")))  # rounding does not move 10 digits
     elapsed = time.perf_counter() - t0
     ok = not clause_a_failures and not clause_b_failures and elapsed < 120
     report(

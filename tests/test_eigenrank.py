@@ -713,10 +713,11 @@ def test_blocked_elimination_matches_unblocked(m, family):
 
 @pytest.mark.parametrize("m", [m for m in ELIMINATOR_SIZES if m > _BLOCK and m % _BLOCK])
 def test_eliminator_sizes_reach_every_level_of_blocking(m):
-    """At alpha = 1 the two-class chain frees a column in an earlier block and
-    then swaps rows in panels with more of their block still to come, so the
-    block's product solves its pivot rows over a swapped panel; and m ends in
-    a partial block."""
+    """At alpha = 1 the two-class chain frees a column before the last group of
+    four panels (_BLOCK columns) and swaps rows in a panel with more of its
+    group still to come, so the group's forward substitution crosses a
+    swapped panel; and m ends inside a group.  The test below checks every
+    group size of the recursive schedule, not only groups of four."""
     chain = damped_transition(eliminator_chain("two_classes", m, seed=m), 1.0)
     _, pivot_rows, swapped_from, free = unblocked_elimination(chain)
     last = (m - 1) // _BLOCK
@@ -725,6 +726,26 @@ def test_eliminator_sizes_reach_every_level_of_blocking(m):
         i != r and c // _BLOCK < last and c % _BLOCK < _BLOCK - _PANEL
         for (r, c), i in zip(pivot_rows, swapped_from)
     )
+
+
+def _left_halves(columns, k, m):
+    """The left halves of k panels, by index, that hold these columns and whose right half starts before m."""
+    w = k * _PANEL
+    return {c // w for c in columns if c // w % 2 == 0 and (c // w + 1) * w < m}
+
+
+def test_every_level_of_the_recursion_sees_a_free_column_and_a_row_swap():
+    """After each left half of k panels (k = 1, 2, 4, 8 up to m = 400), its
+    pivots reach the right half's columns.  For every k, some two-class chain
+    at alpha = 1 frees a column and swaps a pivot row in one such half, so
+    each level applies pivots split by a free column over a swapped panel."""
+    reached = set()
+    for m in [m for m in ELIMINATOR_SIZES if m > _BLOCK and m % _BLOCK]:
+        chain = damped_transition(eliminator_chain("two_classes", m, seed=m), 1.0)
+        _, pivot_rows, swapped_from, free = unblocked_elimination(chain)
+        swapped = [c for (r, c), i in zip(pivot_rows, swapped_from) if i != r]
+        reached |= {k for k in (1, 2, 4, 8) if _left_halves(free, k, m) & _left_halves(swapped, k, m)}
+    assert reached == {1, 2, 4, 8}
 
 
 @pytest.mark.parametrize("m", [m for m in ELIMINATOR_SIZES if m > 1])

@@ -1,5 +1,5 @@
 """The README's library quick start runs, and its comments state its results;
-its decode-error example is what the CLI prints."""
+its decode-error example and option-rule messages are what the CLI prints."""
 
 import re
 from pathlib import Path
@@ -52,3 +52,24 @@ def test_decode_error_example_is_what_the_cli_prints(tmp_path, monkeypatch, caps
     Path("bad.csv").write_bytes(data)
     assert main(["pagerank", "bad.csv", *options]) == 1
     assert capsys.readouterr().err == f"error: {example}\n"
+
+
+@pytest.mark.parametrize(
+    "start, argv",
+    [
+        ("argument --tie-tol:", ["pagerank", "g.csv", "--tie-tol", "nan"]),
+        ("--tol applies", ["pagerank", "g.csv", "--tol", "1e-9"]),
+        ("--roster applies", ["pagerank", "g.csv", "--roster", "r.csv"]),
+        ("--blocks applies", ["gen", "--model", "er", "--blocks", "2", "--out", "o.csv"]),
+        ("--alphas: no values", ["sweep", "g.csv", "--alphas", ","]),
+        ("--alphas: non-numeric", ["sweep", "g.csv", "--alphas", "x"]),
+    ],
+    ids=["tie-tol", "tol", "roster", "blocks", "alphas-empty", "alphas-token"],
+)
+def test_option_rule_message_is_what_the_cli_prints(tmp_path, monkeypatch, capsys, start, argv):
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    message = re.search(f"`({re.escape(start)}[^`]*)`", text)[1]
+    monkeypatch.chdir(tmp_path)
+    Path("g.csv").write_text("0,1\n1,0\n")
+    assert main(argv) == 1
+    assert capsys.readouterr().err.endswith(f"error: {message}\n")
