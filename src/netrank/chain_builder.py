@@ -46,11 +46,10 @@ def transition_from_patched(patched: AdjacencyMatrix) -> TransitionMatrix:
 
     Requires strictly positive row sums; patch zero rows first.
     """
-    rowsums = patched._out_degrees
-    if (rowsums == 0).any():
-        bad = int(np.nonzero(rowsums == 0)[0][0])
-        raise ValueError(f"row {bad} has zero sum; patch zero rows before building the chain")
-    return TransitionMatrix(_adopt(patched.entries.T / rowsums))
+    zero = np.flatnonzero(patched._out_degrees == 0)
+    if zero.size:
+        raise ValueError(f"row {zero[0]} has zero sum; patch zero rows before building the chain")
+    return transition_generalized_inverse(patched)
 
 
 def transition_generalized_inverse(adj: AdjacencyMatrix) -> TransitionMatrix:
@@ -60,7 +59,7 @@ def transition_generalized_inverse(adj: AdjacencyMatrix) -> TransitionMatrix:
     entries, returns A^T B- + (1/n) * ones * (I - B B-): zero-out-degree
     nodes redistribute uniformly, all other columns are A^T B- as usual.
     Columns are divided by their out-degree, not multiplied by its
-    reciprocal, so the result equals the patched route bit for bit.
+    reciprocal; with no zero rows, this is transition_from_patched's chain.
     """
     # the layout of A^T fixes the rounding of M @ x in stationary_power: C
     # only for a dense adjacency with F-ordered entries

@@ -238,6 +238,7 @@ def _add_ranking_options(p: argparse.ArgumentParser):
     p.add_argument("--output", help="write to this path instead of stdout")
 
 
+@functools.cache  # built once per process: parse_args leaves a parser unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="netrank", description="Rank directed networks and compare rankings."
@@ -286,15 +287,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser main uses, built on its first call: parse_args leaves a parser unchanged."""
-    return build_parser()
-
-
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on a usage error; 2 means multiplicity here
         if exc.code == 2:
             return EXIT_INPUT

@@ -81,7 +81,7 @@ class ScoreVector:
         labels = tuple(self.labels)
         if v.ndim != 1 or len(labels) != v.shape[0]:
             raise ValueError(f"{len(labels)} labels for {v.shape} values")
-        if abs(v.sum() - 1.0) > SCORE_SUM_TOL:
+        if not abs(v.sum() - 1.0) <= SCORE_SUM_TOL:  # NaN too
             raise ValueError(f"scores must sum to 1, got {float(v.sum())!r}")
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "labels", labels)

@@ -5,8 +5,9 @@ from (shape, densities, seed) alone, independent of platform or numpy
 version: output k of stream `seed` is obtained by mixing the 64-bit state
 seed + (k+1) * 0x9E3779B97F4A7C15 through the standard xor-shift/multiply
 finalizer, and uniforms take the top 53 bits.  Bernoulli sampling consumes
-exactly one draw per matrix cell in row-major order (zero-density blocks
-included), so generator output is a pure function of the documented inputs.
+exactly one draw per matrix cell, block by block in grid order and row-major
+within each block (zero-density blocks included), so generator output is a
+pure function of the documented inputs.
 """
 
 from __future__ import annotations

@@ -175,9 +175,9 @@ def _split_row(line: str, source: str, at: int) -> list[str]:
         raise ValueError(f"{source}, line {at}: {exc}") from None
 
 
-def _lines(text: str) -> list[str]:
-    r"""Split at \n, \r\n and \r only, not at str.splitlines()'s \x0b, \x1c, \x85, ..."""
-    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+def _newlines(text: str) -> str:
+    r"""`text` with \r\n and \r made \n: its only line ends, not str.splitlines()'s \x85, ..."""
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
 def load_dense_matrix(text: str) -> AdjacencyMatrix:
@@ -185,8 +185,9 @@ def load_dense_matrix(text: str) -> AdjacencyMatrix:
 
     A non-numeric first row is taken as a header and its tokens become the
     node labels (default "1".."n").  A bad header, a ragged or non-square
-    grid and a non-numeric entry are rejected with their line number.
-    Numbers are whatever float() accepts; numpy converts the grid in one pass.
+    grid and a non-numeric, non-finite or negative entry are rejected with
+    their line number.  Numbers are whatever float() accepts; numpy converts
+    the grid in one pass.
     """
     return _load_dense(text, "dense matrix input")
 
@@ -194,7 +195,7 @@ def load_dense_matrix(text: str) -> AdjacencyMatrix:
 def _load_dense(text: str, source: str) -> AdjacencyMatrix:
     """load_dense_matrix, naming `source` and the line in its errors."""
     numbered = [(i, _split_row(line, source, i))
-                for i, line in enumerate(_lines(text), 1) if line.strip()]
+                for i, line in enumerate(_newlines(text).split("\n"), 1) if line.strip()]
     at, rows = [i for i, _ in numbered], [row for _, row in numbered]  # rows[k] is on line at[k]
     if not rows:
         raise ValueError(f"{source}: empty dense matrix")
@@ -225,6 +226,10 @@ def _load_dense(text: str, source: str) -> AdjacencyMatrix:
             raise ValueError(f"{where} has an empty label in column {labels.index('') + 1}")
         repeat = next(l for i, l in enumerate(labels) if l in labels[:i])
         raise ValueError(f"{where} repeats label {repeat!r}")
+    if not (entries.min() >= 0 and entries.max() < math.inf):  # no n x n bool array
+        k, j = divmod(int(np.flatnonzero(~(entries >= 0) | np.isinf(entries))[0]), c)
+        kind = "negative" if np.isfinite(entries[k, j]) else "non-finite"
+        raise ValueError(f"{source}, line {at[k]}: {kind} entry {rows[k][j].strip()!r}")
     return AdjacencyMatrix(_adopt(entries), labels)
 
 
@@ -299,8 +304,7 @@ def _split_csv(path) -> Optional[tuple[list[str], list[str]]]:
         text = _decode(fh.read(), path)
     if '"' in text or "\0" in text:
         return None
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    text = _newlines(text)
     data = np.frombuffer(text.encode(), np.uint8)
     ends = np.append(np.flatnonzero(data == ord("\n")), len(data))  # each line's end
     at = np.flatnonzero(data == ord(","))
@@ -336,27 +340,27 @@ def _read_columns(path, names: tuple[str, ...]) -> tuple[
     `names`.  csv.reader streams any other file, which _split_csv has decoded
     whole; a field over csv.field_size_limit() names its line.
     """
-    def rows():
-        """Each row csv.reader reads, [] for a blank one, after the line it ends on."""
+    def rows(numbered=False):
+        """Each row csv.reader reads, [] for a blank one; if `numbered`, the line
+        each non-blank row ends on."""
         with open(path, encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh)
             try:
-                for row in reader:
-                    yield reader.line_num, row
+                yield from (reader.line_num for row in reader if row) if numbered else reader
             except csv.Error as exc:
                 raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
 
     def line(k: int) -> int:
         # only an error asks for a line, so the file is read again, not kept
-        return next(islice((at for at, row in rows() if row), k + 1, None))
+        return next(islice(rows(numbered=True), k + 1, None))
 
     split = _split_csv(path)
     reader = None if split else rows()
-    header, fields = split or (next(reader, (0, None))[1], [])
+    header, fields = split or (next(reader, None), [])
     if header is None or not set(names) <= set(header):
         return header, None, line  # before csv.reader reads a field over the limit below
     pad = [None] * len(header)
-    for _, row in reader or ():
+    for row in reader or ():
         if row:  # blank rows are skipped; only a row of another width is cut or padded
             fields += row if len(row) == len(pad) else (row + pad)[:len(pad)]
     column = {name: i for i, name in enumerate(header)}

@@ -150,6 +150,20 @@ def test_generalized_inverse_of_edges_builds_no_entries(tmp_path, source):
     assert chain.entries.flags.f_contiguous and expected.entries.flags.f_contiguous
 
 
+def test_patched_route_of_an_edge_list_holds_only_the_chain():
+    # no zero rows, so the chain is scattered from the edges: no n x n adjacency beside it
+    n = 1000
+    adj = load_edge_list((str(i), str((i + d) % n)) for i in range(n) for d in (1, 2, 3, 5, 8))
+    tracemalloc.start()
+    try:
+        chain = transition_from_patched(adj)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert "entries" not in vars(adj)
+    assert peak <= 1.1 * chain.entries.nbytes
+
+
 class TestDampedTransition:
     def test_alpha_one_is_identity_damping(self):
         M = transition_from_patched(golden.FOUR_NODE)

@@ -80,6 +80,18 @@ class TestPagerankCommand:
         path.write_text("0,-1\n1,0\n")
         assert main(["pagerank", str(path)]) == 1
 
+    @pytest.mark.parametrize(
+        "text, problem",
+        [("0,1\nnan,0\n", "non-finite entry 'nan'"), ("0,1\n-1,0\n", "negative entry '-1'")],
+    )
+    @pytest.mark.parametrize("command", ["pagerank", "markovrank", "sweep"])
+    def test_bad_entry_names_file_and_line(self, tmp_path, capsys, command, text, problem):
+        path = tmp_path / "net.csv"
+        path.write_text(text)
+        assert main([command, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {path}, line 2: {problem}\n")
+
     def test_output_file(self, four_node_file, tmp_path, capsys):
         out = tmp_path / "scores.csv"
         assert main(["pagerank", four_node_file, "--output", str(out)]) == 0

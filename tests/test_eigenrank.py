@@ -401,8 +401,9 @@ def test_degenerate_flag_boundary(low, degenerate):
         ([0.5, 0.5], ("a",), "1 labels for (2,) values"),
         ([[0.5, 0.5]], ("a", "b"), "2 labels for (1, 2) values"),
         ([0.5, 0.4], ("a", "b"), "scores must sum to 1, got 0.9"),
+        ([np.nan, 1.0], ("a", "b"), "scores must sum to 1, got nan"),
     ],
-    ids=["label-count", "matrix", "sum"],
+    ids=["label-count", "matrix", "sum", "nan-sum"],
 )
 def test_score_vector_rejects(values, labels, message):
     with pytest.raises(ValueError) as info:

@@ -293,7 +293,7 @@ class TestLoadDenseMatrix:
     def test_negative_entry_rejected(self):
         with pytest.raises(ValueError) as info:
             load_dense_matrix("0,-1\n0,0")
-        assert str(info.value) == "adjacency entries must be non-negative"
+        assert str(info.value) == "dense matrix input, line 1: negative entry '-1'"
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError) as info:
@@ -418,7 +418,24 @@ class TestLoadDenseMatrix:
     def test_non_finite_tokens_reach_finite_check(self, token):
         with pytest.raises(ValueError) as info:
             load_dense_matrix(f"0,{token}\n1,0")
-        assert str(info.value) == "adjacency entries must be finite"
+        assert str(info.value) == f"dense matrix input, line 1: non-finite entry {token!r}"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("a,b\n0,1\n -2 ,0\n", "line 3: negative entry '-2'"),
+            ("0 1\n\n-1 nan\n", "line 3: negative entry '-1'"),
+            ("0,-1\nnan,0\n", "line 1: negative entry '-1'"),
+            ("0,1\ninf,-1\n", "line 2: non-finite entry 'inf'"),
+            ("0,-1\n1\n", "line 2: ragged row of width 1, where line 1 has width 2"),
+        ],
+        ids=["header", "whitespace", "negative-first", "non-finite-first", "ragged-first"],
+    )
+    def test_bad_entry_names_its_line_and_token(self, text, message):
+        # the first bad cell in row-major order, after every shape and header check
+        with pytest.raises(ValueError) as info:
+            load_dense_matrix(text)
+        assert str(info.value) == f"dense matrix input, {message}"
 
 
 # Tokens whose float() verdict the bulk numpy conversion must share.
