@@ -9,6 +9,8 @@ how), but every decision is that of the column-by-column loop.  Exact
 rankings eliminate in the one n x n array where they build the damped
 chain.  The power method iterates x_k = M x_{k-1} to the same fixed point
 on regular chains; rankings apply the damped M from the adjacency's edges.
+A sweep ranks its damping factors below 1 from one Krylov basis of the
+chain at alpha = 1 (_krylov_pageranks), each checked by its residual.
 
 markovrank is not solved on the (n+1)-state augmented chain: eliminating its
 hub state (stochastic complementation, Meyer, SIAM Review 31(2), 1989) shows
@@ -97,10 +99,14 @@ class ScoreVector:
 
 @dataclass(frozen=True, eq=False)
 class EigenSpace:
-    """Dimension of the eigenvalue-1 eigenspace and, when it is 1, a basis vector."""
+    """Dimension of the eigenvalue-1 eigenspace and, when it is 1, a basis vector.
+
+    `min_pivot` is the smallest accepted pivot, inf when none was taken.
+    """
 
     multiplicity: int
     vector: Optional[np.ndarray]
+    min_pivot: float = np.inf
 
 
 @dataclass(frozen=True)
@@ -200,8 +206,9 @@ def _eliminate(U: np.ndarray) -> EigenSpace:
         if c1 < m and r > panels[-k][0]:
             _apply_pivots(U, pivots, panels[-k:], r, slice(c1, c1 + k * _PANEL))
     nullity = m - r
+    min_pivot = np.abs(U[np.arange(r), pivots]).min(initial=np.inf)
     if nullity != 1:
-        return EigenSpace(nullity, None)
+        return EigenSpace(nullity, None, min_pivot)
     f = next((i for i, c in enumerate(pivots) if c != i), r)  # the free column
     for row, c in enumerate(pivots[f:], f):  # the pivots right of it, which skipped it
         U[row + 1 :, f] -= U[row + 1 :, c] * U[row, f]
@@ -209,7 +216,7 @@ def _eliminate(U: np.ndarray) -> EigenSpace:
     x[f] = 1.0
     for row, c in reversed([*enumerate(pivots)]):
         x[c] = -(U[row] @ x) / U[row, c]
-    return EigenSpace(1, x)
+    return EigenSpace(1, x, min_pivot)
 
 
 # _panel_without_swaps keeps a panel only with this much room on each test of
@@ -317,11 +324,73 @@ def _iterate(
     raise NonConvergenceError(x, cfg.max_iterations, cfg.tolerance)
 
 
+# _krylov_pageranks grows its basis by _KRYLOV_CHUNK vectors up to _KRYLOV_CAP, and
+# accepts an alpha whose residual ||M x - x||_1 is at most _KRYLOV_FLOOR.
+_KRYLOV_CHUNK, _KRYLOV_CAP, _KRYLOV_FLOOR = 20, 80, 1e-14
+
+
+def _krylov_pageranks(adj: AdjacencyMatrix, alphas) -> dict[float, ScoreVector]:
+    """pagerank(adj, alpha) for each alpha < 1 that one Krylov basis solves to the floor.
+
+    The fixed point solves (I - alpha P) x = (1 - alpha) v, P the chain at
+    alpha = 1 and v uniform, and K_m(P, v) is the same for every alpha
+    (Frommer & Glaessner, SIAM J. Sci. Comput. 19(1), 1998).  So one Arnoldi
+    basis V_m, H_m (classical Gram-Schmidt twice, one matvec from the edges
+    per vector) gives each alpha x = V_m (I - alpha H_m)^-1 e_1, scaled to
+    sum 1.  The basis grows until every alpha is accepted, it reaches the
+    cap, or it stops growing (its space is invariant and the solutions
+    exact); an alpha never accepted is left out.
+    """
+    step = _damped_operator(adj, 1.0)
+    V = np.empty((_KRYLOV_CAP + 1, adj.n))  # one basis vector per row
+    H = np.zeros((_KRYLOV_CAP + 1, _KRYLOV_CAP))
+    V[0] = 1.0 / np.sqrt(adj.n)
+    pending = [alpha for alpha in set(alphas) if alpha < 1]
+    found = {}
+    m, cap = 0, _KRYLOV_CAP
+    while pending and m < cap:
+        for m in range(m + 1, min(m + _KRYLOV_CHUNK, cap) + 1):
+            w = step(V[m - 1])
+            for _ in range(2):
+                h = V[:m] @ w
+                w -= h @ V[:m]
+                H[:m, m - 1] += h
+            H[m, m - 1] = np.linalg.norm(w)
+            if not H[m, m - 1] > 1e-12:  # the basis stopped growing
+                cap = m
+                break
+            V[m] = w / H[m, m - 1]
+        with np.errstate(all="ignore"):  # a point that has not converged fails its residual test
+            for alpha in pending:
+                try:
+                    y = np.linalg.solve(np.eye(m) - alpha * H[:m, :m], np.eye(m)[0])
+                except np.linalg.LinAlgError:
+                    continue
+                x = y @ V[:m]
+                x = x / x.sum() + 0.0
+                if np.abs(_damped_operator(adj, alpha)(x) - x).sum() <= _KRYLOV_FLOOR:
+                    found[alpha] = ScoreVector(x, adj.labels)
+        pending = [alpha for alpha in pending if alpha not in found]
+    return found
+
+
 def _normalize_scores(vector: np.ndarray, labels: tuple[str, ...]) -> ScoreVector:
     s = vector.sum()
     if abs(s) <= 1e-12 * max(np.abs(vector).max(), 1e-300):
         raise DegenerateVectorError("degenerate eigenvector: entry sum is zero")
     return ScoreVector(vector / s + 0.0, labels)  # + 0.0: a -0.0 score prints as 0
+
+
+def _exact_space(adj: AdjacencyMatrix, alpha: float) -> EigenSpace:
+    """The exact method's elimination, in the one n x n array where it builds the damped chain."""
+    _check_alpha(alpha)  # before the n x n chain is allocated
+    return _eliminate(_damp(_generalized_inverse(adj, np.zeros((adj.n, adj.n))), alpha))
+
+
+def _ranking(space: EigenSpace, labels: tuple[str, ...]) -> ScoreVector:
+    if space.multiplicity != 1:
+        raise MultiplicityError(space.multiplicity)
+    return _normalize_scores(space.vector, labels)
 
 
 def pagerank(
@@ -347,12 +416,7 @@ def pagerank(
     default PowerIterConfig()); it raises NonConvergenceError on periodic chains.
     """
     if method == "exact":
-        _check_alpha(alpha)  # before the n x n chain is allocated
-        chain = _generalized_inverse(adj, np.zeros((adj.n, adj.n)))
-        space = _eliminate(_damp(chain, alpha))
-        if space.multiplicity != 1:
-            raise MultiplicityError(space.multiplicity)
-        return _normalize_scores(space.vector, adj.labels)
+        return _ranking(_exact_space(adj, alpha), adj.labels)
     if method == "power":
         return _iterate(_damped_operator(adj, alpha), adj.labels, cfg or PowerIterConfig())
     raise ValueError(f"method must be 'exact' or 'power', got {method!r}")

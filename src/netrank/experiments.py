@@ -22,7 +22,9 @@ import numpy as np
 
 from .graph_core import AdjacencyMatrix
 from . import rank_stats
-from .eigenrank import DegenerateVectorError, MultiplicityError, _hub_alpha, pagerank
+from .chain_builder import _check_alpha
+from .eigenrank import (PIVOT_TOL, DegenerateVectorError, MultiplicityError, _exact_space,
+                        _hub_alpha, _krylov_pageranks, _ranking)
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -32,6 +34,11 @@ BASELINE_ALPHA = 0.85
 BASELINE_EPSILON = 1.0
 DEFAULT_ALPHAS = (0.8, 0.85, 0.9, 0.95, 1.0)
 DEFAULT_EPSILONS = (0.0, 0.1, 0.5, 1.0)
+
+# invariance_sweep takes its points below alpha = 1 from one Krylov basis only
+# when the exact alpha = 1 solve ranks with its smallest pivot above this many
+# times its threshold PIVOT_TOL * n.
+_WITNESS_MARGIN = 2.0
 
 
 class SplitMix64:
@@ -188,24 +195,41 @@ def invariance_sweep(
     epsilon = 1), which is solved first; a baseline's failure is raised, but
     a grid point's (no unique fixed point, degenerate eigenvector) is
     recorded.  Both families are one damped family: epsilon maps to
-    alpha = 2S / (2S + eps) (see markovrank).  Each distinct alpha is ranked
-    once, by the exact pagerank.
+    alpha = 2S / (2S + eps) (see markovrank), and each distinct alpha is
+    ranked once.  Unless a grid holds an invalid value (raised where the
+    loop reaches it), alpha = 1 is solved first by the exact method, and if
+    it ranks with its smallest pivot above _WITNESS_MARGIN times the pivot
+    threshold, the alphas below 1 come from one Krylov basis, each accepted
+    at its residual floor (see eigenrank._krylov_pageranks).  Every other
+    point is ranked by the exact pagerank, which the Krylov points match to
+    rounding.
     """
     solved = {}  # alpha -> ScoreVector, or the error its solve raised
 
-    def solve(alpha):
+    def solve(alpha, space=None):
         if alpha not in solved:
             try:
-                solved[alpha] = pagerank(adj, alpha)
+                solved[alpha] = _ranking(space or _exact_space(adj, alpha), adj.labels)
             except (MultiplicityError, DegenerateVectorError) as exc:
                 solved[alpha] = exc
         return solved[alpha]
 
-    records = []
-    for family, grid, base, to_alpha in (
-        ("pagerank", alphas, BASELINE_ALPHA, lambda alpha: alpha),
+    families = (
+        ("pagerank", alphas, BASELINE_ALPHA, lambda alpha: _check_alpha(alpha) or alpha),
         ("markovrank", epsilons, BASELINE_EPSILON, lambda eps: _hub_alpha(adj, eps)),
-    ):
+    )
+    try:  # an invalid value is raised below, where the exact sweep raises it
+        wanted = {to_alpha(p) for _, grid, base, to_alpha in families for p in (base, *grid)}
+    except ValueError:
+        wanted = ()
+    if wanted:
+        witness = _exact_space(adj, 1.0)
+        ranked = not isinstance(solve(1.0, witness), Exception)
+        if ranked and witness.min_pivot > _WITNESS_MARGIN * PIVOT_TOL * adj.n:
+            solved.update(_krylov_pageranks(adj, wanted))
+
+    records = []
+    for family, grid, base, to_alpha in families:
         baseline = solve(to_alpha(base))
         if isinstance(baseline, Exception):
             raise baseline

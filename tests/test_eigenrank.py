@@ -86,15 +86,16 @@ def unblocked_elimination(matrix):
 
 
 def unblocked_null_space(matrix):
-    """eigenvalue_one_space by unblocked_elimination."""
+    """eigenvalue_one_space by unblocked_elimination, with its smallest accepted pivot."""
     U, pivot_rows, _, free = unblocked_elimination(matrix)
+    smallest = min((abs(U[r, c]) for r, c in pivot_rows), default=np.inf)
     if len(free) != 1:
-        return EigenSpace(len(free), None)
+        return EigenSpace(len(free), None, smallest)
     x = np.zeros(matrix.m)
     x[free[0]] = 1.0
     for row, c in reversed(pivot_rows):
         x[c] = -(U[row] @ x) / U[row, c]
-    return EigenSpace(1, x)
+    return EigenSpace(1, x, smallest)
 
 
 class TestEigenvalueOneSpace:
@@ -693,6 +694,7 @@ def assert_same_null_space(chain, context):
     """eigenvalue_one_space against the oracle; returns the oracle's space."""
     got, expected = eigenvalue_one_space(chain), unblocked_null_space(chain)
     assert got.multiplicity == expected.multiplicity, context
+    assert got.min_pivot == pytest.approx(expected.min_pivot, rel=1e-9), context
     if expected.multiplicity == 1:
         gap = np.abs(got.vector / got.vector.sum() - expected.vector / expected.vector.sum())
         assert gap.max() <= 1e-12, (context, gap.max())
@@ -794,7 +796,8 @@ def test_eliminator_matches_pivot_rule_oracle(family, m):
 
     Every panel but the last of a 33..100-node chain may take the swap-free
     shortcut; its decisions must be the column loop's, on ties and near the
-    threshold too.
+    threshold too; so must its smallest accepted pivot, which a sweep reads
+    at alpha = 1 (assert_same_null_space checks both).
     """
     adj = ORACLE_NETWORKS[family](m, m)
     for alpha in ORACLE_ALPHAS:
